@@ -56,7 +56,6 @@ from .empirical_dim import (
     covering_root_domain,
     covering_root_image,
     estimate_series,
-    estimates_to_csv,
     successive_differences,
 )
 
@@ -103,6 +102,5 @@ __all__ = [
     "covering_root_domain",
     "covering_root_image",
     "estimate_series",
-    "estimates_to_csv",
     "successive_differences",
 ]

@@ -34,12 +34,13 @@ def _checked_digits(digits: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def _is_primitive(word: tuple[int, ...]) -> bool:
+def primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The shortest word whose repetition spells ``word``."""
     n = len(word)
     for d in range(1, n):
         if n % d == 0 and word == word[:d] * (n // d):
-            return False
-    return True
+            return word[:d]
+    return word
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class ContinuedFraction:
         object.__setattr__(self, "period", _checked_digits(self.period))
         if not self.preperiod and not self.period:
             raise ValueError("a continued fraction needs at least one digit")
-        if self.period and not _is_primitive(self.period):
+        if primitive_root(self.period) != self.period:
             raise ValueError(f"period {self.period} repeats a shorter word")
 
     @property
@@ -259,6 +260,14 @@ def cylinder_interval(prefix: Sequence[int]) -> RationalInterval:
     return _interval_from_state(*_convergent_state(word))
 
 
+def check_budget(K: DigitSet, depth: int, budget: int | None) -> None:
+    """Raise BudgetExceededError if S^depth exceeds budget (default DEFAULT_BUDGET)."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    count = K.size**depth
+    if count > limit:
+        raise BudgetExceededError(count, limit)
+
+
 def enumerate_cylinders(
     K: DigitSet, depth: int, budget: int | None = None
 ) -> Iterator[tuple[tuple[int, ...], RationalInterval]]:
@@ -270,10 +279,7 @@ def enumerate_cylinders(
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    limit = DEFAULT_BUDGET if budget is None else budget
-    count = K.size**depth
-    if count > limit:
-        raise BudgetExceededError(count, limit)
+    check_budget(K, depth, budget)
 
     def walk(word, pm1, qm1, p, q):
         if len(word) == depth:

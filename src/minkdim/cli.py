@@ -8,6 +8,15 @@ Subcommands:
   empirical  per-depth covering-sum estimates (domain or image side)
   construct  table of image cylinders at a given depth
 
+The subcommands are the entries of one table, COMMANDS.  An entry's ``run``
+computes the command's values once and returns the report ``config``, the
+JSON ``result`` and the row records that the text and CSV outputs list;
+exact rationals stay Fractions until rendering.  Only the format named by
+--format is rendered: JSON through DimensionReport, text and CSV through the
+entry's templates (a head line, one line per row record and, for text, an
+optional foot), which ``report.format_record`` fills from the config, the
+result and the row.
+
 Every subcommand accepts --tol, --format {text,json,csv}, --out PATH and
 --budget N; the environment variable MINKDIM_BUDGET overrides the default
 enumeration budget when --budget is absent.  Exit codes: 0 success, 2 usage
@@ -19,6 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from . import __version__
@@ -27,23 +37,14 @@ from .cf_core import (
     ContinuedFraction,
     DigitSet,
     cf_from_rational,
+    primitive_root,
 )
-from .dim_bounds import jarnik_bounds, preservation_verdict
-from .empirical_dim import Side, estimate_series, estimates_to_csv, successive_differences
+from .dim_bounds import BoundsInterval, jarnik_bounds, preservation_verdict
+from .empirical_dim import Side, estimate_series, successive_differences
 from .errors import BudgetExceededError, ToleranceError
 from .minkowski_eval import minkowski_finite, minkowski_periodic
-from .moran_solver import MIN_TOLERANCE, moran_root
-from .report import (
-    DimensionReport,
-    bounds_to_dict,
-    decimal_str,
-    estimate_to_dict,
-    exact_number,
-    fraction_str,
-    moran_to_dict,
-    mpf_str,
-    verdict_to_dict,
-)
+from .moran_solver import MIN_TOLERANCE, MoranRoot, moran_root
+from .report import DimensionReport, format_record, mpf_str
 from .selfsimilar import enumerate_image_cylinders
 
 EXIT_OK = 0
@@ -54,8 +55,8 @@ EXIT_TOLERANCE = 4
 MAX_SOLVER_TOLERANCE = 1e-3
 
 
-def parse_digit_spec(text: str) -> DigitSet:
-    """Digit sets given as ranges and/or lists: '1..9', '1,3,5', '1,4..6'."""
+def _parse_range_list(text: str, noun: str) -> list[int]:
+    """Ranges and/or lists of integers: '3', '1..9', '1,3,5', '1,4..6'."""
     values: list[int] = []
     for token in text.split(","):
         token = token.strip()
@@ -69,27 +70,18 @@ def parse_digit_spec(text: str) -> DigitSet:
             else:
                 values.append(int(token))
         except ValueError:
-            raise ValueError(f"bad digit token {token!r} in {text!r}") from None
-    return DigitSet.from_digits(values)
+            raise ValueError(f"bad {noun} token {token!r} in {text!r}") from None
+    return values
+
+
+def parse_digit_spec(text: str) -> DigitSet:
+    """Digit sets as range lists; a repeated digit is rejected."""
+    return DigitSet.from_digits(_parse_range_list(text, "digit"))
 
 
 def parse_depth_spec(text: str) -> list[int]:
-    """Depths given like digit specs: '3', '1..6', '2,4,6'."""
-    out: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            if ".." in token:
-                a_str, b_str = token.split("..", 1)
-                a, b = int(a_str), int(b_str)
-                if a > b:
-                    raise ValueError
-                out.extend(range(a, b + 1))
-            else:
-                out.append(int(token))
-        except ValueError:
-            raise ValueError(f"bad depth token {token!r} in {text!r}") from None
-    return sorted(set(out))
+    """Depths as range lists, sorted and without repeats."""
+    return sorted(set(_parse_range_list(text, "depth")))
 
 
 def parse_rational(text: str) -> tuple[int, int]:
@@ -101,14 +93,6 @@ def parse_rational(text: str) -> tuple[int, int]:
         return int(text), 1
     except ValueError:
         raise ValueError(f"bad rational {text!r}; expected p/q") from None
-
-
-def _primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d]
-    return word
 
 
 def parse_cf(text: str) -> ContinuedFraction:
@@ -125,7 +109,7 @@ def parse_cf(text: str) -> ContinuedFraction:
     try:
         if body.endswith("..."):
             word = tuple(int(t) for t in body[:-3].rstrip(",").split(","))
-            return ContinuedFraction((), _primitive_root(word))
+            return ContinuedFraction((), primitive_root(word))
         if "(" in body:
             head, _, rest = body.partition("(")
             if not rest.endswith(")"):
@@ -133,7 +117,7 @@ def parse_cf(text: str) -> ContinuedFraction:
             period = tuple(int(t) for t in rest[:-1].split(","))
             head = head.rstrip(",")
             preperiod = tuple(int(t) for t in head.split(",")) if head else ()
-            return ContinuedFraction(preperiod, _primitive_root(period))
+            return ContinuedFraction(preperiod, primitive_root(period))
         return ContinuedFraction(tuple(int(t) for t in body.split(",")))
     except ValueError:
         raise ValueError(f"cannot parse continued fraction {text!r}") from None
@@ -163,95 +147,51 @@ def _solver_tol(value: float | None, default: float) -> float:
     return tol
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _root_record(root: MoranRoot) -> dict[str, Any]:
+    return {
+        "s": mpf_str(root.s),
+        "s_float": float(root.s),
+        "residual": mpf_str(root.residual, 6),
+        "iterations": root.iterations,
+        "bracket": [mpf_str(root.bracket[0]), mpf_str(root.bracket[1])],
+    }
 
 
-def _cmd_moran(args) -> tuple[DimensionReport, str, str]:
+def _bounds_record(bounds: BoundsInterval) -> dict[str, Any]:
+    return {"n": bounds.n, "lower": bounds.lower, "upper": bounds.upper}
+
+
+Records = tuple[dict[str, Any], dict[str, Any], list[dict[str, Any]]]
+
+
+def _moran(args) -> Records:
     K = parse_digit_spec(args.digits)
     tol = _solver_tol(args.tol, default=1e-12)
-    root = moran_root(K, tol)
+    root = _root_record(moran_root(K, tol))
     config = {"digits": list(K.digits), "tol": tol}
-    report = DimensionReport(
-        "moran",
-        config,
-        {"digit_set": str(K), "moran_root": moran_to_dict(root)},
-    )
-    text = "\n".join(
-        [
-            f"digit set: {K}",
-            f"Moran root s: {mpf_str(root.s)}",
-            f"residual |f(s)-1|: {mpf_str(root.residual, 6)} "
-            f"({root.iterations} evaluations)",
-            f"bracket: [{mpf_str(root.bracket[0])}, {mpf_str(root.bracket[1])}]",
-        ]
-    )
-    csv = _csv(
-        ["digits", "s", "residual", "iterations"],
-        [
-            [
-                " ".join(map(str, K.digits)),
-                mpf_str(root.s),
-                mpf_str(root.residual, 6),
-                str(root.iterations),
-            ]
-        ],
-    )
-    return report, text, csv
+    return config, {"digit_set": str(K), "moran_root": root}, [root]
 
 
-def _cmd_bounds(args) -> tuple[DimensionReport, str, str]:
-    bounds = jarnik_bounds(args.n)
-    config = {"n": args.n}
-    report = DimensionReport(
-        "bounds", config, {"bounds": bounds_to_dict(bounds)}
-    )
-    text = "\n".join(
-        [
-            f"n: {bounds.n}",
-            f"dimension bounds: {bounds.lower!r} <= dim <= {bounds.upper!r}",
-        ]
-    )
-    csv = _csv(
-        ["n", "lower", "upper"],
-        [[str(bounds.n), repr(bounds.lower), repr(bounds.upper)]],
-    )
-    return report, text, csv
+def _bounds(args) -> Records:
+    bounds = _bounds_record(jarnik_bounds(args.n))
+    return {"n": args.n}, {"bounds": bounds}, [bounds]
 
 
-def _cmd_verdict(args) -> tuple[DimensionReport, str, str]:
+def _verdict(args) -> Records:
     tol = 1e-6 if args.tol is None else args.tol
-    verdict = preservation_verdict(args.n, tol)
-    config = {"n": args.n, "tol": tol}
-    report = DimensionReport("verdict", config, {"verdict": verdict_to_dict(verdict)})
-    text = "\n".join(
-        [
-            f"n: {verdict.n}",
-            f"dimension bounds: [{verdict.bounds.lower!r}, {verdict.bounds.upper!r}]",
-            f"image dimension (Moran root): {mpf_str(verdict.image_dimension.s)}",
-            f"verdict: {verdict.preserved.name}",
-            f"certified gap: {verdict.gap!r} (tolerance {tol})",
-        ]
-    )
-    csv = _csv(
-        ["n", "lower", "upper", "moran_root", "verdict", "gap"],
-        [
-            [
-                str(verdict.n),
-                repr(verdict.bounds.lower),
-                repr(verdict.bounds.upper),
-                mpf_str(verdict.image_dimension.s),
-                verdict.preserved.value,
-                repr(verdict.gap),
-            ]
-        ],
-    )
-    return report, text, csv
+    v = preservation_verdict(args.n, tol)
+    verdict = {
+        "n": v.n,
+        "bounds": _bounds_record(v.bounds),
+        "image_dimension": _root_record(v.image_dimension),
+        "preserved": v.preserved,
+        "gap": v.gap,
+        "tol": v.tol,
+    }
+    return {"n": args.n, "tol": tol}, {"verdict": verdict}, [verdict]
 
 
-def _cmd_eval(args) -> tuple[DimensionReport, str, str]:
+def _eval(args) -> Records:
     if args.rational is not None:
         p, q = parse_rational(args.rational)
         cf = cf_from_rational(p, q)
@@ -263,32 +203,17 @@ def _cmd_eval(args) -> tuple[DimensionReport, str, str]:
         value = minkowski_finite(cf).as_fraction()
     else:
         value = minkowski_periodic(cf)
-    report = DimensionReport(
-        "eval",
-        config,
-        {"continued_fraction": str(cf), "value": exact_number(value)},
-    )
-    text = "\n".join(
-        [
-            f"input: {cf}",
-            f"value: {fraction_str(value)} = {decimal_str(value)}",
-        ]
-    )
-    csv = _csv(
-        ["continued_fraction", "value_exact", "value_decimal"],
-        [[f'"{cf}"', fraction_str(value), decimal_str(value)]],
-    )
-    return report, text, csv
+    result = {"continued_fraction": str(cf), "value": value}
+    return config, result, [result]
 
 
-def _cmd_empirical(args) -> tuple[DimensionReport, str, str]:
+def _empirical(args) -> Records:
     K = parse_digit_spec(args.digits)
     depths = parse_depth_spec(args.depths)
     side = Side(args.side)
     tol = _solver_tol(args.tol, default=1e-10)
     budget = resolve_budget(args.budget)
     series = estimate_series(K, depths, side, tol, budget)
-    diffs = successive_differences(series)
     config = {
         "digits": list(K.digits),
         "depths": depths,
@@ -296,76 +221,121 @@ def _cmd_empirical(args) -> tuple[DimensionReport, str, str]:
         "tol": tol,
         "budget": budget,
     }
-    report = DimensionReport(
-        "empirical",
-        config,
-        {"series": [estimate_to_dict(e) for e in series], "differences": diffs},
-    )
-    lines = [f"digit set: {K}, side: {side.value}"]
-    for e in series:
-        lines.append(
-            f"depth {e.depth}: s_hat = {e.s_hat!r} "
-            f"({e.cylinder_count} cylinders, {e.wall_time_ms:.1f} ms)"
-        )
-    if diffs:
-        lines.append("successive differences: " + ", ".join(repr(d) for d in diffs))
-    return report, "\n".join(lines), estimates_to_csv(series)
+    rows = [asdict(e) for e in series]
+    return config, {"series": rows, "differences": successive_differences(series)}, rows
 
 
-def _cmd_construct(args) -> tuple[DimensionReport, str, str]:
+def _construct(args) -> Records:
     K = parse_digit_spec(args.digits)
     if args.depth < 0:
         raise ValueError("depth must be nonnegative")
     budget = resolve_budget(args.budget)
-    cylinders = list(enumerate_image_cylinders(K, args.depth, budget))
+    rows = [
+        {
+            "word": cyl.word,
+            "inf": cyl.enclosure.lo,
+            "sup": cyl.enclosure.hi,
+            "diameter": cyl.diameter,
+        }
+        for cyl in enumerate_image_cylinders(K, args.depth, budget)
+    ]
     config = {"digits": list(K.digits), "depth": args.depth, "budget": budget}
-    rows = []
-    for cyl in cylinders:
-        rows.append(
-            {
-                "word": list(cyl.word),
-                "inf": exact_number(cyl.enclosure.lo),
-                "sup": exact_number(cyl.enclosure.hi),
-                "diameter": exact_number(cyl.diameter),
-            }
-        )
-    report = DimensionReport("construct", config, {"cylinders": rows})
-    lines = [f"digit set: {K}, depth: {args.depth}"]
-    csv_rows = []
-    for cyl in cylinders:
-        word = "-".join(map(str, cyl.word))
-        lines.append(
-            f"word [{word}]: inf {fraction_str(cyl.enclosure.lo)}, "
-            f"sup {fraction_str(cyl.enclosure.hi)}, "
-            f"diameter {fraction_str(cyl.diameter)}"
-        )
-        csv_rows.append(
-            [
-                word,
-                fraction_str(cyl.enclosure.lo),
-                fraction_str(cyl.enclosure.hi),
-                decimal_str(cyl.enclosure.lo),
-                decimal_str(cyl.enclosure.hi),
-                fraction_str(cyl.diameter),
-                decimal_str(cyl.diameter),
-            ]
-        )
-    csv = _csv(
-        ["word", "inf_exact", "sup_exact", "inf_decimal", "sup_decimal",
-         "diameter_exact", "diameter_decimal"],
-        csv_rows,
-    )
-    return report, "\n".join(lines), csv
+    return config, {"cylinders": rows}, rows
 
 
-_HANDLERS: dict[str, Callable] = {
-    "moran": _cmd_moran,
-    "bounds": _cmd_bounds,
-    "verdict": _cmd_verdict,
-    "eval": _cmd_eval,
-    "empirical": _cmd_empirical,
-    "construct": _cmd_construct,
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: ``run`` computes its records once.
+
+    ``text`` and ``csv`` each hold a head template and a template for every
+    row record; ``text`` may add a foot, printed under two or more rows.
+    """
+
+    run: Callable[[argparse.Namespace], Records]
+    text: tuple[str, ...]
+    csv: tuple[str, str]
+
+
+COMMANDS: dict[str, Command] = {
+    "moran": Command(
+        _moran,
+        text=(
+            "digit set: {digit_set}",
+            "Moran root s: {s}\n"
+            "residual |f(s)-1|: {residual} ({iterations} evaluations)\n"
+            "bracket: [{bracket:, }]",
+        ),
+        csv=("digits,s,residual,iterations", "{digits: },{s},{residual},{iterations}"),
+    ),
+    "bounds": Command(
+        _bounds,
+        text=("n: {n}", "dimension bounds: {lower} <= dim <= {upper}"),
+        csv=("n,lower,upper", "{n},{lower},{upper}"),
+    ),
+    "verdict": Command(
+        _verdict,
+        text=(
+            "n: {n}",
+            "dimension bounds: [{bounds[lower]}, {bounds[upper]}]\n"
+            "image dimension (Moran root): {image_dimension[s]}\n"
+            "verdict: {preserved.name}\n"
+            "certified gap: {gap} (tolerance {tol})",
+        ),
+        csv=(
+            "n,lower,upper,moran_root,verdict,gap",
+            "{n},{bounds[lower]},{bounds[upper]},{image_dimension[s]},"
+            "{preserved.value},{gap}",
+        ),
+    ),
+    "eval": Command(
+        _eval,
+        text=("input: {continued_fraction}", "value: {value} = {value:decimal}"),
+        csv=(
+            "continued_fraction,value_exact,value_decimal",
+            '"{continued_fraction}",{value},{value:decimal}',
+        ),
+    ),
+    "empirical": Command(
+        _empirical,
+        text=(
+            "digit set: {digits:set}, side: {side}",
+            "depth {depth}: s_hat = {s_hat} "
+            "({cylinder_count} cylinders, {wall_time_ms:.1f} ms)",
+            "successive differences: {differences:, }",
+        ),
+        csv=(
+            "depth,cylinder_count,s_hat,sum_at_root,wall_time_ms",
+            "{depth},{cylinder_count},{s_hat},{sum_at_root},{wall_time_ms:.3f}",
+        ),
+    ),
+    "construct": Command(
+        _construct,
+        text=(
+            "digit set: {digits:set}, depth: {depth}",
+            "word [{word:-}]: inf {inf}, sup {sup}, diameter {diameter}",
+        ),
+        csv=(
+            "word,inf_exact,sup_exact,inf_decimal,sup_decimal,"
+            "diameter_exact,diameter_decimal",
+            "{word:-},{inf},{sup},{inf:decimal},{sup:decimal},"
+            "{diameter},{diameter:decimal}",
+        ),
+    ),
 }
+
+
+def _render(name: str, fmt: str, config: dict, result: dict, rows: list[dict]) -> str:
+    """The payload of one command in one format, with LF line endings."""
+    if fmt == "json":
+        return DimensionReport(name, config, result).to_json() + "\n"
+    cmd = COMMANDS[name]
+    head, line, *foot = cmd.text if fmt == "text" else cmd.csv
+    scope = {**config, **result}
+    lines = [format_record(head, scope)]
+    lines += [format_record(line, {**scope, **row}) for row in rows]
+    if foot and len(rows) > 1:
+        lines.append(format_record(foot[0], scope))
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,20 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, report: DimensionReport, text: str, csv: str) -> None:
-    if args.format == "json":
-        payload = report.to_json() + "\n"
-    elif args.format == "csv":
-        payload = csv
-    else:
-        payload = text + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -448,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        report, text, csv = _HANDLERS[args.command](args)
+        records = COMMANDS[args.command].run(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -458,7 +414,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args, report, text, csv)
+    payload = _render(args.command, args.format, *records)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
     return EXIT_OK
 
 

@@ -27,13 +27,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cf_core import DEFAULT_BUDGET, DigitSet, enumerate_cylinders
-from .errors import BudgetExceededError, ToleranceError
-from .moran_solver import bisect_newton
+from .cf_core import DigitSet, check_budget, enumerate_cylinders
+from .errors import ToleranceError
+from .moran_solver import BISECT_WIDTH, bisect_newton
 from .selfsimilar import enumerate_image_cylinders, image_diameter
 
 DEFAULT_TOLERANCE = 1e-10
-_BISECT_WIDTH = 2.0**-20
 
 
 class Side(Enum):
@@ -72,7 +71,7 @@ def _solve_covering(lengths: np.ndarray, tol: float) -> tuple[float, float, tupl
         h_prime,
         0.0,
         1.0,
-        bisect_width=_BISECT_WIDTH,
+        bisect_width=BISECT_WIDTH,
         residual_target=tol,
     )
     return s, 1.0 + h(s), (float(bracket[0]), float(bracket[1]))
@@ -154,10 +153,7 @@ def estimate_series(
         raise ValueError("need at least one depth")
     if depth_list[0] < 1:
         raise ValueError("depths must be positive")
-    limit = DEFAULT_BUDGET if budget is None else budget
-    worst = K.size ** depth_list[-1]
-    if worst > limit:
-        raise BudgetExceededError(worst, limit)
+    check_budget(K, depth_list[-1], budget)
     solver = covering_root_domain if side is Side.DOMAIN else covering_root_image
     return [solver(K, d, tol, budget) for d in depth_list]
 
@@ -165,14 +161,3 @@ def estimate_series(
 def successive_differences(estimates: Sequence[CoveringEstimate]) -> list[float]:
     """s_hat differences between consecutive estimates (stability diagnostic)."""
     return [b.s_hat - a.s_hat for a, b in zip(estimates, estimates[1:])]
-
-
-def estimates_to_csv(estimates: Sequence[CoveringEstimate]) -> str:
-    """CSV rendering: header plus one row per depth, LF line endings."""
-    lines = ["depth,cylinder_count,s_hat,sum_at_root,wall_time_ms"]
-    for e in estimates:
-        lines.append(
-            f"{e.depth},{e.cylinder_count},{e.s_hat!r},{e.sum_at_root!r},"
-            f"{e.wall_time_ms:.3f}"
-        )
-    return "\n".join(lines) + "\n"

@@ -27,7 +27,7 @@ from .errors import ToleranceError
 
 PRECISION_BITS = 128  # working precision for all solver arithmetic
 MIN_TOLERANCE = 2.0**-50
-_BISECT_WIDTH = 2.0**-20  # bracket width handed from bisection to Newton
+BISECT_WIDTH = 2.0**-20  # bracket width handed from bisection to Newton
 _RESIDUAL_BITS = 100  # Newton polishes |f(s) - 1| below 2^-100
 
 
@@ -124,18 +124,27 @@ def moran_root(K: DigitSet, tol: float = 1e-12) -> MoranRoot:
 
     ``tol`` must be at least 2^-50.  Monotonicity plus the endpoint values
     f(0) = S > 1 > f(1) guarantee existence and uniqueness in (0, 1); the
-    returned residual is in practice near 2^-100 regardless of tol.
+    returned residual is in practice near 2^-100 regardless of tol.  If
+    f(1) - 1 rounds to zero at PRECISION_BITS (it is -2^-n for K = {1..n},
+    so n >= 129), the endpoints no longer bracket the root numerically and
+    ToleranceError is raised.
     """
     if tol < MIN_TOLERANCE:
         raise ValueError(f"tolerance {tol} below the 2^-50 floor")
     with mp.workprec(PRECISION_BITS):
         target = min(mpf(tol), mpf(2) ** -_RESIDUAL_BITS)
-        s, res, iters, bracket = bisect_newton(
-            lambda s: moran_function(K, s) - 1,
-            lambda s: _moran_derivative(K, s),
-            mpf(0),
-            mpf(1),
-            bisect_width=mpf(_BISECT_WIDTH),
-            residual_target=target,
-        )
+        try:
+            s, res, iters, bracket = bisect_newton(
+                lambda s: moran_function(K, s) - 1,
+                lambda s: _moran_derivative(K, s),
+                mpf(0),
+                mpf(1),
+                bisect_width=mpf(BISECT_WIDTH),
+                residual_target=target,
+            )
+        except ValueError:  # f(0) - 1 = S - 1 > 0 is exact, so f(1) - 1 rounded
+            raise ToleranceError(
+                f"f(1) - 1 rounds to zero at {PRECISION_BITS}-bit working "
+                "precision, so [0, 1] does not bracket the root"
+            ) from None
     return MoranRoot(s=s, residual=res, iterations=iters, bracket=bracket)

@@ -5,23 +5,24 @@ rendered both as "p/q" strings and as decimals with 15 significant digits
 (round-half-even); solver outputs carry high-precision decimal strings.  A
 report serializes to a JSON object with top-level fields
 {schema_version, command, config, result, diagnostics} and reconstructs
-losslessly from its own JSON.
+losslessly from its own JSON.  Records keep exact rationals as Fractions
+until one format renders them: ``format_record`` for text and CSV, the
+report's JSON as {"exact", "decimal"} pairs.
 """
 
 from __future__ import annotations
 
 import json
+import string
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from enum import Enum
 from fractions import Fraction
 from typing import Any
 
 from mpmath import mp
 
 from . import __version__
-from .dim_bounds import BoundsInterval, PreservationVerdict
-from .empirical_dim import CoveringEstimate
-from .moran_solver import MoranRoot
 
 SCHEMA_VERSION = "1"
 DECIMAL_SIGNIFICANT_DIGITS = 15
@@ -49,41 +50,37 @@ def mpf_str(x, digits: int = 20) -> str:
     return mp.nstr(x, digits)
 
 
-def moran_to_dict(root: MoranRoot) -> dict[str, Any]:
-    return {
-        "s": mpf_str(root.s),
-        "s_float": float(root.s),
-        "residual": mpf_str(root.residual, 6),
-        "iterations": root.iterations,
-        "bracket": [mpf_str(root.bracket[0]), mpf_str(root.bracket[1])],
-    }
+class _RecordFormatter(string.Formatter):
+    def format_field(self, value, spec):
+        if isinstance(value, Fraction):
+            return decimal_str(value) if spec == "decimal" else fraction_str(value)
+        if isinstance(value, (list, tuple)):
+            if spec == "set":
+                return "{" + ", ".join(map(str, value)) + "}"
+            return spec.join(map(str, value))
+        return format(value, spec)
 
 
-def bounds_to_dict(bounds: BoundsInterval) -> dict[str, Any]:
-    return {"n": bounds.n, "lower": bounds.lower, "upper": bounds.upper}
+_FORMATTER = _RecordFormatter()
 
 
-def verdict_to_dict(verdict: PreservationVerdict) -> dict[str, Any]:
-    return {
-        "n": verdict.n,
-        "bounds": bounds_to_dict(verdict.bounds),
-        "image_dimension": moran_to_dict(verdict.image_dimension),
-        "preserved": verdict.preserved.value,
-        "gap": verdict.gap,
-        "tol": verdict.tol,
-    }
+def format_record(template: str, record: dict[str, Any]) -> str:
+    """``template.format_map(record)`` with the contract's renderings.
+
+    A Fraction field renders as "p/q", or as its decimal under the spec
+    "decimal"; a list or tuple field joins its items with the spec as the
+    separator, or braces them like a digit set under the spec "set".
+    """
+    return _FORMATTER.vformat(template, (), record)
 
 
-def estimate_to_dict(estimate: CoveringEstimate) -> dict[str, Any]:
-    return {
-        "side": estimate.side.value,
-        "depth": estimate.depth,
-        "cylinder_count": estimate.cylinder_count,
-        "s_hat": estimate.s_hat,
-        "sum_at_root": estimate.sum_at_root,
-        "bracket": list(estimate.bracket),
-        "wall_time_ms": estimate.wall_time_ms,
-    }
+def _json_value(value: Any) -> Any:
+    """JSON form of the values records keep until rendering."""
+    if isinstance(value, Fraction):
+        return exact_number(value)
+    if isinstance(value, Enum):
+        return value.value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -107,7 +104,7 @@ class DimensionReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+        return json.dumps(self.to_dict(), indent=2, default=_json_value)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "DimensionReport":

@@ -24,13 +24,12 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .cf_core import (
-    DEFAULT_BUDGET,
     ContinuedFraction,
     DigitSet,
     RationalInterval,
     _checked_digits,
+    check_budget,
 )
-from .errors import BudgetExceededError
 from .minkowski_eval import _word_value, minkowski_periodic
 
 
@@ -144,9 +143,6 @@ def enumerate_image_cylinders(
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    limit = DEFAULT_BUDGET if budget is None else budget
-    count = K.size**depth
-    if count > limit:
-        raise BudgetExceededError(count, limit)
+    check_budget(K, depth, budget)
     sup0, inf0 = image_sup(K), image_inf(K)
     return (_hull(word, sup0, inf0) for word in product(K.digits, repeat=depth))

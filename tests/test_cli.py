@@ -1,13 +1,15 @@
 """Command-line interface: parsing, reports, formats, exit codes."""
 
 import json
+import random
 
 import pytest
 
-from minkdim import DigitSet
+from minkdim import DigitSet, Side, estimate_series
 from minkdim.cli import (
     EXIT_BUDGET,
     EXIT_OK,
+    EXIT_TOLERANCE,
     EXIT_USAGE,
     main,
     parse_cf,
@@ -146,6 +148,14 @@ class TestVerdictCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["verdict"]["preserved"] == "not_preserved"
 
+    def test_unbracketed_root_is_a_tolerance_failure(self, capsys):
+        # f(1) - 1 = -2^-129 rounds to zero at the solver's 128 bits
+        assert main(["verdict", "--n", "129"]) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+
 
 class TestEvalCommand:
     def test_rational(self, capsys):
@@ -211,6 +221,27 @@ class TestEmpiricalCommand:
             main(["empirical", "--digits", "1..9", "--depths", "1..9"])
             == EXIT_BUDGET
         )
+
+    def test_csv_header_rows_and_line_endings(self, capsys):
+        argv = ["empirical", "--digits", "1,2", "--side", "image", "--depths", "1..3"]
+        assert main([*argv, "--format", "csv"]) == EXIT_OK
+        text = capsys.readouterr().out
+        lines = text.split("\n")
+        assert lines[0] == "depth,cylinder_count,s_hat,sum_at_root,wall_time_ms"
+        assert len(lines) == 5 and lines[-1] == ""  # 3 rows + trailing LF
+        assert "\r" not in text
+        row = lines[1].split(",")
+        assert row[0] == "1" and row[1] == "2"
+        series = estimate_series(DigitSet((1, 2)), (1, 2, 3), Side.IMAGE)
+        assert float(row[2]) == series[0].s_hat
+
+    def test_csv_random_sets_round_trip_counts(self, capsys):
+        rng = random.Random(6)
+        for _ in range(5):
+            digits = ",".join(map(str, sorted(rng.sample(range(1, 9), 3))))
+            argv = ["empirical", "--digits", digits, "--depths", "1,2", "--format", "csv"]
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().out.count("\n") == 3
 
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("MINKDIM_BUDGET", "10")

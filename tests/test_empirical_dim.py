@@ -5,8 +5,6 @@ cylinder lengths.  For K = {1,2} the depth-1 lengths are 1/2 and 1/6 and the
 depth-2 lengths are 1/6, 1/12, 1/15, 1/35 (convergent recurrence by hand).
 """
 
-import math
-import random
 import pytest
 
 from minkdim import (
@@ -17,7 +15,6 @@ from minkdim import (
     covering_root_image,
     enumerate_cylinders,
     estimate_series,
-    estimates_to_csv,
     jarnik_bounds,
     moran_root,
     successive_differences,
@@ -155,23 +152,3 @@ class TestSeries:
         with pytest.raises(ValueError):
             estimate_series(K12, (0, 2), Side.DOMAIN)
 
-
-class TestCsv:
-    def test_header_rows_and_line_endings(self):
-        series = estimate_series(K12, (1, 2, 3), Side.IMAGE)
-        text = estimates_to_csv(series)
-        lines = text.split("\n")
-        assert lines[0] == "depth,cylinder_count,s_hat,sum_at_root,wall_time_ms"
-        assert len(lines) == 5 and lines[-1] == ""  # 3 rows + trailing LF
-        assert "\r" not in text
-        row = lines[1].split(",")
-        assert row[0] == "1" and row[1] == "2"
-        assert math.isclose(float(row[2]), series[0].s_hat, rel_tol=0, abs_tol=0)
-
-    def test_random_sets_round_trip_counts(self):
-        rng = random.Random(6)
-        for _ in range(5):
-            K = DigitSet(tuple(sorted(rng.sample(range(1, 9), 3))))
-            series = estimate_series(K, (1, 2), Side.DOMAIN)
-            text = estimates_to_csv(series)
-            assert text.count("\n") == 3
