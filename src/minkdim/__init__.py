@@ -25,7 +25,6 @@ from .cf_core import (
     enumerate_cylinders,
 )
 from .minkowski_eval import (
-    DyadicInterval,
     DyadicRational,
     minkowski_enclosure,
     minkowski_finite,
@@ -74,7 +73,6 @@ __all__ = [
     "convergents",
     "cylinder_interval",
     "enumerate_cylinders",
-    "DyadicInterval",
     "DyadicRational",
     "minkowski_enclosure",
     "minkowski_finite",

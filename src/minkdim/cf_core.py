@@ -263,9 +263,10 @@ def cylinder_interval(prefix: Sequence[int]) -> RationalInterval:
 def check_budget(K: DigitSet, depth: int, budget: int | None) -> None:
     """Raise BudgetExceededError if S^depth exceeds budget (default DEFAULT_BUDGET)."""
     limit = DEFAULT_BUDGET if budget is None else budget
-    count = K.size**depth
-    if count > limit:
-        raise BudgetExceededError(count, limit)
+    # S >= 2, so depth >= bit_length(limit) already gives S^depth > limit;
+    # the power itself is slow and unprintable at such depths
+    if depth >= limit.bit_length() or K.size**depth > limit:
+        raise BudgetExceededError(f"{K.size}^{depth}", limit)
 
 
 def enumerate_cylinders(

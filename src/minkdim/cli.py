@@ -17,10 +17,12 @@ entry's templates (a head line, one line per row record and, for text, an
 optional foot), which ``report.format_record`` fills from the config, the
 result and the row.
 
-Every subcommand accepts --tol, --format {text,json,csv}, --out PATH and
---budget N; the environment variable MINKDIM_BUDGET overrides the default
-enumeration budget when --budget is absent.  Exit codes: 0 success, 2 usage
-error, 3 budget exceeded, 4 internal tolerance failure.
+Every subcommand accepts --format {text,json,csv} and --out PATH; moran,
+verdict and empirical take --tol, whose default is the library's, and
+empirical and construct take --budget N, where the environment variable
+MINKDIM_BUDGET overrides the default enumeration budget when --budget is
+absent.  An option a subcommand does not read is a usage error.  Exit codes:
+0 success, 2 usage error, 3 budget exceeded, 4 internal tolerance failure.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from . import __version__
+from . import __version__, dim_bounds, empirical_dim, moran_solver
 from .cf_core import (
     DEFAULT_BUDGET,
     ContinuedFraction,
@@ -138,8 +140,7 @@ def resolve_budget(value: int | None) -> int:
     return value
 
 
-def _solver_tol(value: float | None, default: float) -> float:
-    tol = default if value is None else value
+def _solver_tol(tol: float) -> float:
     if not MIN_TOLERANCE <= tol <= MAX_SOLVER_TOLERANCE:
         raise ValueError(
             f"tolerance must lie in [2^-50, {MAX_SOLVER_TOLERANCE}], got {tol}"
@@ -166,7 +167,7 @@ Records = tuple[dict[str, Any], dict[str, Any], list[dict[str, Any]]]
 
 def _moran(args) -> Records:
     K = parse_digit_spec(args.digits)
-    tol = _solver_tol(args.tol, default=1e-12)
+    tol = _solver_tol(args.tol)
     root = _root_record(moran_root(K, tol))
     config = {"digits": list(K.digits), "tol": tol}
     return config, {"digit_set": str(K), "moran_root": root}, [root]
@@ -178,17 +179,13 @@ def _bounds(args) -> Records:
 
 
 def _verdict(args) -> Records:
-    tol = 1e-6 if args.tol is None else args.tol
-    v = preservation_verdict(args.n, tol)
+    v = preservation_verdict(args.n, args.tol)
     verdict = {
-        "n": v.n,
+        **vars(v),
         "bounds": _bounds_record(v.bounds),
         "image_dimension": _root_record(v.image_dimension),
-        "preserved": v.preserved,
-        "gap": v.gap,
-        "tol": v.tol,
     }
-    return {"n": args.n, "tol": tol}, {"verdict": verdict}, [verdict]
+    return {"n": args.n, "tol": args.tol}, {"verdict": verdict}, [verdict]
 
 
 def _eval(args) -> Records:
@@ -211,7 +208,7 @@ def _empirical(args) -> Records:
     K = parse_digit_spec(args.digits)
     depths = parse_depth_spec(args.depths)
     side = Side(args.side)
-    tol = _solver_tol(args.tol, default=1e-10)
+    tol = _solver_tol(args.tol)
     budget = resolve_budget(args.budget)
     series = estimate_series(K, depths, side, tol, budget)
     config = {
@@ -227,8 +224,6 @@ def _empirical(args) -> Records:
 
 def _construct(args) -> Records:
     K = parse_digit_spec(args.digits)
-    if args.depth < 0:
-        raise ValueError("depth must be nonnegative")
     budget = resolve_budget(args.budget)
     rows = [
         {
@@ -339,23 +334,6 @@ def _render(name: str, fmt: str, config: dict, result: dict, rows: list[dict]) -
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="solver tolerance")
-    common.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format (default: text)",
-    )
-    common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="enumeration budget (default: MINKDIM_BUDGET or "
-        f"{DEFAULT_BUDGET})",
-    )
-
     parser = argparse.ArgumentParser(
         prog="minkdim",
         description="Hausdorff dimensions of digit-restricted continued-fraction "
@@ -366,21 +344,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("moran", parents=[common], help="Moran root for a digit set")
+    def command(name: str, about: str, tol: float | None = None, budget: bool = False):
+        """A subparser with --format and --out, plus --tol and --budget if read."""
+        p = sub.add_parser(name, help=about)
+        p.add_argument(
+            "--format",
+            choices=("text", "json", "csv"),
+            default="text",
+            help="output format (default: text)",
+        )
+        p.add_argument("--out", help="write output to this path")
+        if tol is not None:
+            text = f"tolerance (default: {tol})"
+            p.add_argument("--tol", type=float, default=tol, help=text)
+        if budget:
+            text = f"enumeration budget (default: MINKDIM_BUDGET or {DEFAULT_BUDGET})"
+            p.add_argument("--budget", type=int, help=text)
+        return p
+
+    p = command("moran", "Moran root for a digit set", moran_solver.DEFAULT_TOLERANCE)
     p.add_argument("--digits", required=True, help="digit set, e.g. 1..9 or 1,3,5")
 
-    p = sub.add_parser("bounds", parents=[common], help="dimension bounds for n > 8")
+    p = command("bounds", "dimension bounds for n > 8")
     p.add_argument("--n", type=int, required=True, help="digit ceiling (> 8)")
 
-    p = sub.add_parser("verdict", parents=[common], help="preservation verdict")
+    p = command("verdict", "preservation verdict", dim_bounds.DEFAULT_TOLERANCE)
     p.add_argument("--n", type=int, required=True, help="digit ceiling (> 8)")
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate the Minkowski function")
+    p = command("eval", "evaluate the Minkowski function")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rational", help="rational argument p/q in (0, 1]")
     group.add_argument("--cf", help="continued fraction, e.g. '0;2,3' or '0;1,(1,2)'")
 
-    p = sub.add_parser("empirical", parents=[common], help="covering-sum estimates")
+    tol = empirical_dim.DEFAULT_TOLERANCE
+    p = command("empirical", "covering-sum estimates", tol, budget=True)
     p.add_argument("--digits", required=True, help="digit set")
     p.add_argument("--depths", required=True, help="depths, e.g. 1..6 or 3")
     p.add_argument(
@@ -390,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which cylinder family (default: domain)",
     )
 
-    p = sub.add_parser("construct", parents=[common], help="image cylinder table")
+    p = command("construct", "image cylinder table", budget=True)
     p.add_argument("--digits", required=True, help="digit set")
     p.add_argument("--depth", type=int, required=True, help="cylinder depth (>= 0)")
 

@@ -22,6 +22,8 @@ from enum import Enum
 from .cf_core import DigitSet
 from .moran_solver import MoranRoot, moran_root
 
+DEFAULT_TOLERANCE = 1e-6  # gap beyond which the verdict is NOT_PRESERVED
+
 
 class Preservation(Enum):
     NOT_PRESERVED = "not_preserved"
@@ -72,7 +74,7 @@ def jarnik_bounds(n: int) -> BoundsInterval:
     return BoundsInterval(lower=lower, upper=upper, n=n)
 
 
-def preservation_verdict(n: int, tol: float = 1e-6) -> PreservationVerdict:
+def preservation_verdict(n: int, tol: float = DEFAULT_TOLERANCE) -> PreservationVerdict:
     """Verdict for digit ceiling n: bounds interval vs Moran root of {1..n}."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"verdict tolerance must lie in (0, 1), got {tol}")

@@ -77,6 +77,22 @@ def _solve_covering(lengths: np.ndarray, tol: float) -> tuple[float, float, tupl
     return s, 1.0 + h(s), (float(bracket[0]), float(bracket[1]))
 
 
+def _estimate(side: Side, depth: int, lengths: Iterable[float], tol: float) -> CoveringEstimate:
+    """Covering root over the lengths, pulled and timed here."""
+    t0 = time.perf_counter()
+    array = np.fromiter(lengths, dtype=float)
+    s, sum_at_root, bracket = _solve_covering(array, tol)
+    return CoveringEstimate(
+        side=side,
+        depth=depth,
+        cylinder_count=array.size,
+        s_hat=s,
+        sum_at_root=sum_at_root,
+        bracket=bracket,
+        wall_time_ms=(time.perf_counter() - t0) * 1e3,
+    )
+
+
 def covering_root_domain(
     K: DigitSet,
     depth: int,
@@ -89,20 +105,8 @@ def covering_root_domain(
     restricted cylinders omit part of every parent interval), so the root is
     unique in (0, 1).
     """
-    t0 = time.perf_counter()
-    lengths = np.array(
-        [float(interval.length) for _, interval in enumerate_cylinders(K, depth, budget)]
-    )
-    s, sum_at_root, bracket = _solve_covering(lengths, tol)
-    return CoveringEstimate(
-        side=Side.DOMAIN,
-        depth=depth,
-        cylinder_count=lengths.size,
-        s_hat=s,
-        sum_at_root=sum_at_root,
-        bracket=bracket,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    cylinders = enumerate_cylinders(K, depth, budget)
+    return _estimate(Side.DOMAIN, depth, (float(iv.length) for _, iv in cylinders), tol)
 
 
 def covering_root_image(
@@ -119,21 +123,9 @@ def covering_root_image(
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    t0 = time.perf_counter()
     whole = image_diameter(K)
-    lengths = np.array(
-        [float(cyl.diameter / whole) for cyl in enumerate_image_cylinders(K, depth, budget)]
-    )
-    s, sum_at_root, bracket = _solve_covering(lengths, tol)
-    return CoveringEstimate(
-        side=Side.IMAGE,
-        depth=depth,
-        cylinder_count=lengths.size,
-        s_hat=s,
-        sum_at_root=sum_at_root,
-        bracket=bracket,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    cylinders = enumerate_image_cylinders(K, depth, budget)
+    return _estimate(Side.IMAGE, depth, (float(c.diameter / whole) for c in cylinders), tol)
 
 
 def estimate_series(

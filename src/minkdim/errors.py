@@ -4,9 +4,12 @@ from __future__ import annotations
 
 
 class BudgetExceededError(Exception):
-    """An enumeration would produce more cylinders than the configured budget."""
+    """An enumeration would produce more cylinders than the configured budget.
 
-    def __init__(self, requested: int, budget: int):
+    ``requested`` names the cylinder count as "S^depth".
+    """
+
+    def __init__(self, requested: str, budget: int):
         super().__init__(
             f"enumerating {requested} cylinders exceeds the budget of {budget}"
         )

@@ -9,8 +9,8 @@ It maps (0, 1] onto (0, 1] monotonically, sending rationals (finite words) to
 dyadic rationals m/2^e and eventually periodic expansions to rationals.
 Evaluation here is exact: finite words produce `DyadicRational`, periodic
 expansions produce `fractions.Fraction` via closed-form geometric summation,
-and digit prefixes produce certified `DyadicInterval` enclosures from the
-alternating-series bracket.  Floating point never enters; the sup/inf
+and digit prefixes produce certified `cf_core.RationalInterval` enclosures
+from the alternating-series bracket.  Floating point never enters; the sup/inf
 identities downstream hold bit-exactly.
 """
 
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Sequence
 
-from .cf_core import ContinuedFraction, _checked_digits
+from .cf_core import ContinuedFraction, RationalInterval, _checked_digits
 
 
 @total_ordering
@@ -30,7 +30,8 @@ class DyadicRational:
     """Exact mantissa / 2^exponent with exponent >= 0, stored reduced.
 
     Reduced means the mantissa is odd, or zero with exponent zero, so equal
-    values compare equal field-by-field.
+    values compare equal field-by-field.  Values order among themselves;
+    arithmetic goes through ``as_fraction``.
     """
 
     mantissa: int
@@ -50,29 +51,8 @@ class DyadicRational:
         object.__setattr__(self, "mantissa", m)
         object.__setattr__(self, "exponent", e)
 
-    @classmethod
-    def from_fraction(cls, fr: Fraction) -> "DyadicRational":
-        den = fr.denominator
-        e = den.bit_length() - 1
-        if den != 1 << e:
-            raise ValueError(f"{fr} is not dyadic")
-        return cls(fr.numerator, e)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 1 << self.exponent)
-
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        e = max(self.exponent, other.exponent)
-        m = (self.mantissa << (e - self.exponent)) + (
-            other.mantissa << (e - other.exponent)
-        )
-        return DyadicRational(m, e)
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        return self + (-other)
-
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.mantissa, self.exponent)
 
     def __lt__(self, other: "DyadicRational") -> bool:
         return (self.mantissa << other.exponent) < (other.mantissa << self.exponent)
@@ -84,33 +64,8 @@ class DyadicRational:
         return str(self.as_fraction())
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
-    """A closed interval with dyadic endpoints, lo <= hi."""
-
-    lo: DyadicRational
-    hi: DyadicRational
-
-    def __post_init__(self):
-        if self.hi < self.lo:
-            raise ValueError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> DyadicRational:
-        return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        """Closed containment; accepts DyadicRational, Fraction or int."""
-        if isinstance(x, DyadicRational):
-            x = x.as_fraction()
-        return self.lo.as_fraction() <= x <= self.hi.as_fraction()
-
-    def contains_interval(self, other: "DyadicInterval") -> bool:
-        return not (other.lo < self.lo) and not (self.hi < other.hi)
-
-
-def _word_value(word: Sequence[int]) -> DyadicRational:
-    """Alternating sum over a digit word, as one exact dyadic value.
+def _dyadic_parts(word: Sequence[int]) -> tuple[int, int]:
+    """Alternating sum over a digit word as (mantissa, exponent), exactly.
 
     With partial digit sums A_m, the value is
     sum_m (-1)^(m-1) 2^(1-A_m) = [sum_m (-1)^(m-1) 2^(1+A_n-A_m)] / 2^A_n.
@@ -122,7 +77,13 @@ def _word_value(word: Sequence[int]) -> DyadicRational:
         running += a
         term = 1 << (1 + total - running)
         mantissa += -term if i % 2 else term
-    return DyadicRational(mantissa, total)
+    return mantissa, total
+
+
+def _word_value(word: Sequence[int]) -> Fraction:
+    """The alternating sum over a digit word; 0 for the empty word."""
+    mantissa, exponent = _dyadic_parts(word)
+    return Fraction(mantissa, 1 << exponent)
 
 
 def minkowski_finite(cf: ContinuedFraction) -> DyadicRational:
@@ -133,25 +94,25 @@ def minkowski_finite(cf: ContinuedFraction) -> DyadicRational:
     """
     if not cf.is_finite:
         raise ValueError("finite continued fraction required")
-    return _word_value(cf.preperiod)
+    return DyadicRational(*_dyadic_parts(cf.preperiod))
 
 
-def minkowski_enclosure(prefix: Sequence[int]) -> DyadicInterval:
+def minkowski_enclosure(prefix: Sequence[int]) -> RationalInterval:
     """Certified interval containing ?(x) for every x starting with ``prefix``.
 
     The series alternates with strictly decreasing terms, so every
     continuation lands between the length-n partial sum S_n and
     S_n + (-1)^n 2^-(a1+...+an), the partial sum shifted by a signed bound on
-    the whole remaining tail.  Width is exactly 2^-(a1+...+an).
+    the whole remaining tail.  Length is exactly 2^-(a1+...+an) > 0.
     """
     word = _checked_digits(prefix)
     if not word:
         raise ValueError("prefix must be nonempty")
     s_n = _word_value(word)
-    tail_bound = DyadicRational(1, sum(word))
+    tail_bound = Fraction(1, 1 << sum(word))
     if len(word) % 2 == 0:
-        return DyadicInterval(s_n, s_n + tail_bound)
-    return DyadicInterval(s_n - tail_bound, s_n)
+        return RationalInterval(s_n, s_n + tail_bound)
+    return RationalInterval(s_n - tail_bound, s_n)
 
 
 def minkowski_periodic(cf: ContinuedFraction) -> Fraction:
@@ -167,8 +128,8 @@ def minkowski_periodic(cf: ContinuedFraction) -> Fraction:
     if cf.is_finite:
         raise ValueError("periodic continued fraction required")
     block = cf.period if len(cf.period) % 2 == 0 else cf.period * 2
-    c = _word_value(block).as_fraction()
+    c = _word_value(block)
     tail = c / (1 - Fraction(1, 2 ** sum(block)))
-    head = _word_value(cf.preperiod).as_fraction() if cf.preperiod else Fraction(0)
+    head = _word_value(cf.preperiod)
     sign = -1 if len(cf.preperiod) % 2 else 1
     return head + sign * tail / 2 ** sum(cf.preperiod)

@@ -27,6 +27,7 @@ from .errors import ToleranceError
 
 PRECISION_BITS = 128  # working precision for all solver arithmetic
 MIN_TOLERANCE = 2.0**-50
+DEFAULT_TOLERANCE = 1e-12
 BISECT_WIDTH = 2.0**-20  # bracket width handed from bisection to Newton
 _RESIDUAL_BITS = 100  # Newton polishes |f(s) - 1| below 2^-100
 
@@ -119,7 +120,7 @@ def bisect_newton(
     )
 
 
-def moran_root(K: DigitSet, tol: float = 1e-12) -> MoranRoot:
+def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
     """Unique root of sum(2^(-k s)) = 1 over K, certified to |f(s)-1| <= tol.
 
     ``tol`` must be at least 2^-50.  Monotonicity plus the endpoint values

@@ -107,7 +107,7 @@ def tail_set_diameter(K: DigitSet, rank: int = 0) -> Fraction:
 
 def _hull(word: tuple[int, ...], sup0: Fraction, inf0: Fraction) -> ImageCylinder:
     # head + (-1)^n 2^-(sum word) * (full image set)
-    head = _word_value(word).as_fraction() if word else Fraction(0)
+    head = _word_value(word)
     scale = Fraction(1, 2 ** sum(word))
     if len(word) % 2 == 0:
         lo, hi = head + scale * inf0, head + scale * sup0

@@ -243,6 +243,14 @@ class TestEmpiricalCommand:
             assert main(argv) == EXIT_OK
             assert capsys.readouterr().out.count("\n") == 3
 
+    @pytest.mark.parametrize("digits, depths", [("1..9", "5000"), ("1,2", "20000")])
+    def test_budget_at_huge_depth(self, capsys, digits, depths):
+        # both counts have more digits than int-to-str conversion allows (4,300)
+        argv = ["empirical", "--digits", digits, "--depths", depths]
+        assert main(argv) == EXIT_BUDGET
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and len(err[0]) < 200
+
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("MINKDIM_BUDGET", "10")
         assert (
@@ -287,6 +295,49 @@ class TestConstructCommand:
             ["construct", "--digits", "1..9", "--depth", "9", "--budget", "100"]
         )
         assert rc == EXIT_BUDGET
+
+    def test_budget_at_huge_depth(self, capsys):
+        argv = ["construct", "--digits", "1..9", "--depth", "100000000"]
+        assert main(argv) == EXIT_BUDGET
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and len(err[0]) < 200
+
+
+VALID_ARGV = {
+    "moran": ["moran", "--digits", "1,2"],
+    "bounds": ["bounds", "--n", "9"],
+    "verdict": ["verdict", "--n", "9"],
+    "eval": ["eval", "--rational", "2/3"],
+    "empirical": ["empirical", "--digits", "1,2", "--depths", "2"],
+    "construct": ["construct", "--digits", "1,2", "--depth", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, option, value, code",
+    [
+        ("bounds", "--tol", "1e-6", EXIT_USAGE),
+        ("bounds", "--budget", "100", EXIT_USAGE),
+        ("eval", "--tol", "1e-6", EXIT_USAGE),
+        ("eval", "--budget", "100", EXIT_USAGE),
+        ("construct", "--tol", "1e-6", EXIT_USAGE),
+        ("moran", "--budget", "100", EXIT_USAGE),
+        ("verdict", "--budget", "100", EXIT_USAGE),
+        ("moran", "--tol", "1e-6", EXIT_OK),
+        ("verdict", "--tol", "1e-3", EXIT_OK),
+        ("empirical", "--tol", "1e-8", EXIT_OK),
+        ("empirical", "--budget", "100", EXIT_OK),
+        ("construct", "--budget", "100", EXIT_OK),
+    ],
+)
+def test_options_are_scoped_to_the_commands_that_read_them(
+    capsys, command, option, value, code
+):
+    """An option a subcommand ignores is a usage error; one it reads is used."""
+    assert main([*VALID_ARGV[command], option, value, "--format", "json"]) == code
+    if code == EXIT_OK:
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config[option[2:]] == float(value)
 
 
 class TestOutputPlumbing:

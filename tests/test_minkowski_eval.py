@@ -12,7 +12,6 @@ import pytest
 
 from minkdim import (
     ContinuedFraction,
-    DyadicInterval,
     DyadicRational,
     alternate_form,
     cf_from_rational,
@@ -46,29 +45,13 @@ class TestDyadicRational:
         with pytest.raises(ValueError):
             DyadicRational(1, -1)
 
-    def test_from_fraction(self):
-        assert DyadicRational.from_fraction(Fraction(3, 8)) == DyadicRational(3, 3)
-        with pytest.raises(ValueError):
-            DyadicRational.from_fraction(Fraction(1, 3))
-
     def test_arithmetic_and_order(self):
         half = DyadicRational(1, 1)
         quarter = DyadicRational(1, 2)
-        assert half + quarter == DyadicRational(3, 2)
-        assert half - quarter == quarter
-        assert -quarter < quarter < half
+        assert DyadicRational(-1, 2) < quarter < half
         assert half.as_fraction() == Fraction(1, 2)
         assert float(quarter) == 0.25
         assert str(DyadicRational(3, 2)) == "3/4"
-
-    def test_interval(self):
-        iv = DyadicInterval(DyadicRational(1, 2), DyadicRational(3, 2))
-        assert iv.width == DyadicRational(1, 1)
-        assert iv.contains(Fraction(5, 16))
-        assert iv.contains(DyadicRational(1, 2))
-        assert not iv.contains(Fraction(7, 8))
-        with pytest.raises(ValueError):
-            DyadicInterval(DyadicRational(3, 2), DyadicRational(1, 2))
 
 
 class TestFinite:
@@ -123,8 +106,8 @@ class TestEnclosure:
 
     def test_prefix_two_within_half(self):
         enc = minkowski_enclosure((2,))
-        assert enc.lo.as_fraction() > 0
-        assert enc.hi.as_fraction() <= Fraction(1, 2)
+        assert enc.lo > 0
+        assert enc.hi <= Fraction(1, 2)
 
     def test_prefix_one_two_contains_sup(self):
         assert minkowski_enclosure((1, 2)).contains(Fraction(6, 7))
@@ -134,7 +117,7 @@ class TestEnclosure:
         for _ in range(200):
             word = tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 6)))
             enc = minkowski_enclosure(word)
-            assert enc.width.as_fraction() <= Fraction(2, 2 ** sum(word))
+            assert enc.length <= Fraction(2, 2 ** sum(word))
 
     def test_soundness_for_finite_extensions(self):
         rng = random.Random(8)
@@ -142,7 +125,7 @@ class TestEnclosure:
             word = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 5)))
             ext = word + tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 4)))
             enc = minkowski_enclosure(word)
-            assert enc.contains(minkowski_finite(ContinuedFraction(ext)))
+            assert enc.contains(minkowski_finite(ContinuedFraction(ext)).as_fraction())
 
     def test_soundness_for_periodic_continuations(self):
         rng = random.Random(9)

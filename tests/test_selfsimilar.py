@@ -85,8 +85,8 @@ class TestImageExtremes:
             attained_max = max(attained_max, up, down)
             attained_min = min(attained_min, up, down)
             enc = minkowski_enclosure(word)
-            outer_max = max(outer_max, enc.hi.as_fraction())
-            outer_min = min(outer_min, enc.lo.as_fraction())
+            outer_max = max(outer_max, enc.hi)
+            outer_min = min(outer_min, enc.lo)
         assert attained_max <= image_sup(K) <= outer_max
         assert outer_min <= image_inf(K) <= attained_min
         slack = Fraction(1, 2 ** (depth - 2))
