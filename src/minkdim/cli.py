@@ -28,6 +28,7 @@ absent.  An option a subcommand does not read is a usage error.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -333,7 +334,9 @@ def _render(name: str, fmt: str, config: dict, result: dict, rows: list[dict]) -
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="minkdim",
         description="Hausdorff dimensions of digit-restricted continued-fraction "

@@ -1,36 +1,34 @@
 """Covering-sum dimension estimates over depth-n cylinder families.
 
-For a family of covers {I_w} at depth n, the root s of sum |I_w|^s = 1 is
-the standard pressure-equation truncation of the Hausdorff dimension.  Two
-sides are estimated:
+For covers {I_w} at depth n, the root s of sum |I_w|^s = 1 is the standard
+pressure-equation truncation of the Hausdorff dimension.  On the domain side
+the covers are the continued-fraction cylinders of the restricted set, of
+length 1/(q_n (q_n + q_{n-1})), and the per-depth roots are reported, not
+extrapolated.  On the image side they are the image cylinders, of normalized
+diameter exactly 2^-(digit sum); the sum factorizes as (sum_k 2^(-k s))^n, so
+the root equals the Moran root at every depth -- a cross-check of two solvers.
 
-  * domain: the exact (nonlinear) lengths of continued-fraction cylinders of
-    the digit-restricted set, giving a per-depth sequence of roots whose
-    stability is reported, not extrapolated;
-  * image: the exact self-similar diameters normalized by the full image
-    diameter.  There the sum factorizes as (sum_k 2^(-k s))^n, so the root
-    is depth-independent and equals the Moran root -- a cross-check between
-    two solvers fed by different modules.
-
-Lengths stay exact rationals until the numeric boundary: each is rounded
-once to float64, the powered sums run through numpy's pairwise summation in
-a fixed enumeration order (bit-reproducible), and the root is polished with
-the same bisection + Newton hybrid the Moran solver uses.
+``_log_lengths`` builds the float64 log lengths of each depth from the last
+with numpy, in lexicographic word order: the domain side carries (log q_n,
+q_{n-1}/q_n), so nothing overflows, the image side the digit sums.  One
+solver finds the root of logsumexp(s * log lengths) = 0, so no power
+underflows, with pairwise sums in that fixed order (bit-reproducible runs).
+Logs outside the float64 range raise ToleranceError.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .cf_core import DigitSet, check_budget, enumerate_cylinders
+from .cf_core import DigitSet, check_budget
 from .errors import ToleranceError
 from .moran_solver import BISECT_WIDTH, bisect_newton
-from .selfsimilar import enumerate_image_cylinders, image_diameter
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -53,51 +51,58 @@ class CoveringEstimate:
     wall_time_ms: float
 
 
-def _solve_covering(lengths: np.ndarray, tol: float) -> tuple[float, float, tuple[float, float]]:
-    if lengths.size < 2:
-        raise ValueError("need at least two cover lengths")
-    if np.any(lengths <= 0.0):
-        raise ToleranceError("a cylinder length underflowed float64")
-    logs = np.log(lengths)
+def _log_lengths(K: DigitSet, side: Side, depth: int) -> Iterator[np.ndarray]:
+    """Log cover lengths at depths 1..depth, each in lexicographic word order."""
+    digits = np.array(K.digits, dtype=float)
+    if side is Side.IMAGE:
+        sums = np.zeros(1)
+        for _ in range(depth):
+            sums = np.add.outer(sums, digits).ravel()
+            yield sums * -math.log(2.0)
+        return
+    log_q, r = np.zeros(1), np.zeros(1)  # r = q_{n-1}/q_n; q_0 = 1, q_{-1} = 0
+    for _ in range(depth):
+        t = np.add.outer(r, digits).ravel()  # q_{n+1}/q_n = k + r
+        log_q = np.repeat(log_q, K.size)
+        log_q += np.log(t)
+        r = np.reciprocal(t, out=t)
+        logs = np.log1p(r)
+        logs += 2.0 * log_q
+        yield np.negative(logs, out=logs)
 
-    def h(s: float) -> float:
-        return float(np.sum(lengths**s)) - 1.0
 
-    def h_prime(s: float) -> float:
-        return float(np.sum(lengths**s * logs))
+def _solve_covering(logs: np.ndarray, tol: float) -> tuple[float, float, tuple[float, float]]:
+    """Root of g(s) = log(sum(exp(s * logs))) = 0, polished to |sum - 1| <= tol.
 
-    s, res, _, bracket = bisect_newton(
-        h,
-        h_prime,
-        0.0,
-        1.0,
-        bisect_width=BISECT_WIDTH,
-        residual_target=tol,
+    g' is a weighted mean of the logs, so unlike the sum's slope it cannot underflow.
+    """
+    scratch = np.empty_like(logs)
+
+    def shifted(s: float) -> float:  # exp(s * logs - top) into scratch; returns top
+        np.multiply(logs, s, out=scratch)
+        top = scratch.max()
+        np.subtract(scratch, top, out=scratch)
+        np.exp(scratch, out=scratch)
+        return top
+
+    def g(s: float) -> float:
+        return float(shifted(s) + np.log(scratch.sum()))
+
+    def g_prime(s: float) -> float:
+        shifted(s)
+        total = scratch.sum()
+        np.multiply(scratch, logs, out=scratch)
+        return float(scratch.sum() / total)
+
+    target = math.log1p(tol)  # |g| <= log1p(tol) gives |sum - 1| <= tol
+    s, _, _, bracket = bisect_newton(
+        g, g_prime, 0.0, 1.0, bisect_width=BISECT_WIDTH, residual_target=target
     )
-    return s, 1.0 + h(s), (float(bracket[0]), float(bracket[1]))
-
-
-def _estimate(side: Side, depth: int, lengths: Iterable[float], tol: float) -> CoveringEstimate:
-    """Covering root over the lengths, pulled and timed here."""
-    t0 = time.perf_counter()
-    array = np.fromiter(lengths, dtype=float)
-    s, sum_at_root, bracket = _solve_covering(array, tol)
-    return CoveringEstimate(
-        side=side,
-        depth=depth,
-        cylinder_count=array.size,
-        s_hat=s,
-        sum_at_root=sum_at_root,
-        bracket=bracket,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return s, math.exp(g(s)), (float(bracket[0]), float(bracket[1]))
 
 
 def covering_root_domain(
-    K: DigitSet,
-    depth: int,
-    tol: float = DEFAULT_TOLERANCE,
-    budget: int | None = None,
+    K: DigitSet, depth: int, tol: float = DEFAULT_TOLERANCE, budget: int | None = None
 ) -> CoveringEstimate:
     """Root of sum(length^s) = 1 over the depth-n cylinders of the restricted set.
 
@@ -105,27 +110,24 @@ def covering_root_domain(
     restricted cylinders omit part of every parent interval), so the root is
     unique in (0, 1).
     """
-    cylinders = enumerate_cylinders(K, depth, budget)
-    return _estimate(Side.DOMAIN, depth, (float(iv.length) for _, iv in cylinders), tol)
+    return _single(K, depth, Side.DOMAIN, tol, budget)
 
 
 def covering_root_image(
-    K: DigitSet,
-    depth: int,
-    tol: float = DEFAULT_TOLERANCE,
-    budget: int | None = None,
+    K: DigitSet, depth: int, tol: float = DEFAULT_TOLERANCE, budget: int | None = None
 ) -> CoveringEstimate:
     """Root over depth-n image cylinders, diameters normalized by the image diameter.
 
-    Each normalized diameter is exactly a product of 2^-k factors (and hence
-    exact in float64), so algebraically the root equals the Moran root at
-    every depth.
+    Each normalized diameter is exactly 2^-(digit sum), so algebraically the
+    root equals the Moran root at every depth.
     """
+    return _single(K, depth, Side.IMAGE, tol, budget)
+
+
+def _single(K: DigitSet, depth: int, side: Side, tol: float, budget: int | None):
     if depth < 1:
         raise ValueError("depth must be positive")
-    whole = image_diameter(K)
-    cylinders = enumerate_image_cylinders(K, depth, budget)
-    return _estimate(Side.IMAGE, depth, (float(c.diameter / whole) for c in cylinders), tol)
+    return estimate_series(K, (depth,), side, tol, budget)[0]
 
 
 def estimate_series(
@@ -137,8 +139,10 @@ def estimate_series(
 ) -> list[CoveringEstimate]:
     """One covering estimate per depth, ascending, for stability diagnostics.
 
-    The whole series is budget-checked against its deepest level up front so
-    a long run cannot fail halfway through.
+    The layers are built once, up to the deepest depth; each estimate's
+    ``wall_time_ms`` is the time since the previous one.  The whole series is
+    budget-checked against its deepest level up front so a long run cannot
+    fail halfway through.
     """
     depth_list = sorted(set(int(d) for d in depths))
     if not depth_list:
@@ -146,8 +150,19 @@ def estimate_series(
     if depth_list[0] < 1:
         raise ValueError("depths must be positive")
     check_budget(K, depth_list[-1], budget)
-    solver = covering_root_domain if side is Side.DOMAIN else covering_root_image
-    return [solver(K, d, tol, budget) for d in depth_list]
+    estimates = []
+    t0 = time.perf_counter()
+    try:
+        with np.errstate(all="raise", under="ignore"):  # exp may underflow to 0
+            for depth, logs in enumerate(_log_lengths(K, side, depth_list[-1]), 1):
+                if depth in depth_list:
+                    root = _solve_covering(logs, tol)
+                    ms = (time.perf_counter() - t0) * 1e3
+                    estimates.append(CoveringEstimate(side, depth, logs.size, *root, ms))
+                    t0 = time.perf_counter()
+    except (OverflowError, FloatingPointError) as exc:
+        raise ToleranceError(f"covering sums leave the float64 range ({exc})") from None
+    return estimates
 
 
 def successive_differences(estimates: Sequence[CoveringEstimate]) -> list[float]:

@@ -29,9 +29,10 @@ from .cf_core import ContinuedFraction, RationalInterval, _checked_digits
 class DyadicRational:
     """Exact mantissa / 2^exponent with exponent >= 0, stored reduced.
 
-    Reduced means the mantissa is odd, or zero with exponent zero, so equal
-    values compare equal field-by-field.  Values order among themselves;
-    arithmetic goes through ``as_fraction``.
+    Reduced means the mantissa is odd, or zero with exponent zero.  Values
+    compare and hash as the equal ``Fraction``, so they mix with Fractions
+    and ints in ==, <, <=, > and >= in either operand order; arithmetic
+    goes through ``as_fraction``.
     """
 
     mantissa: int
@@ -54,14 +55,29 @@ class DyadicRational:
     def as_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 1 << self.exponent)
 
-    def __lt__(self, other: "DyadicRational") -> bool:
-        return (self.mantissa << other.exponent) < (other.mantissa << self.exponent)
+    def __eq__(self, other) -> bool:
+        value = _exact(other)
+        return NotImplemented if value is None else self.as_fraction() == value
+
+    def __lt__(self, other) -> bool:
+        value = _exact(other)
+        return NotImplemented if value is None else self.as_fraction() < value
+
+    def __hash__(self) -> int:
+        return hash(self.as_fraction())
 
     def __float__(self) -> float:
         return float(self.as_fraction())
 
     def __str__(self) -> str:
         return str(self.as_fraction())
+
+
+def _exact(value) -> Fraction | int | None:
+    """A DyadicRational, Fraction or int as a Fraction or int; None otherwise."""
+    if isinstance(value, DyadicRational):
+        return value.as_fraction()
+    return value if isinstance(value, (Fraction, int)) else None
 
 
 def _dyadic_parts(word: Sequence[int]) -> tuple[int, int]:

@@ -368,6 +368,17 @@ class TestOutputPlumbing:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    def test_no_state_leaks_between_calls(self, capsys):
+        """The parser is built once per process; each call parses afresh."""
+        moran = ["moran", "--digits", "1,2", "--format", "json"]
+        assert main([*moran, "--tol", "1e-3"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1e-3
+        assert main(moran) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1e-12
+        assert main(["moran", "--digits", "1,2", "--budget", "9"]) == EXIT_USAGE
+        assert main(["bounds", "--n", "9", "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"] == {"n": 9}
+
     def test_scalar_csv_format(self, capsys):
         assert main(["moran", "--digits", "1,2", "--format", "csv"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()

@@ -5,6 +5,11 @@ cylinder lengths.  For K = {1,2} the depth-1 lengths are 1/2 and 1/6 and the
 depth-2 lengths are 1/6, 1/12, 1/15, 1/35 (convergent recurrence by hand).
 """
 
+import json
+import math
+import sys
+from fractions import Fraction
+
 import pytest
 
 from minkdim import (
@@ -14,14 +19,19 @@ from minkdim import (
     covering_root_domain,
     covering_root_image,
     enumerate_cylinders,
+    enumerate_image_cylinders,
     estimate_series,
+    image_diameter,
     jarnik_bounds,
     moran_root,
     successive_differences,
 )
+from minkdim.cli import EXIT_OK, EXIT_TOLERANCE, main
+from minkdim.empirical_dim import _log_lengths
 
 K12 = DigitSet((1, 2))
 NINE = DigitSet(tuple(range(1, 10)))
+EPS = sys.float_info.epsilon
 
 
 def oracle_bisect(lengths, iterations=80):
@@ -152,3 +162,85 @@ class TestSeries:
         with pytest.raises(ValueError):
             estimate_series(K12, (0, 2), Side.DOMAIN)
 
+
+
+def deepest_layer(K, side, depth):
+    *_, logs = _log_lengths(K, side, depth)
+    return logs
+
+
+class TestEngine:
+    """The float64 log-length layers against the exact Fraction enumerators."""
+
+    @pytest.mark.parametrize(
+        "digits, depth", [((1, 2), 10), (tuple(range(1, 10)), 3), ((7, 10**6), 6)]
+    )
+    def test_domain_logs_match_exact_lengths(self, digits, depth):
+        K = DigitSet(digits)
+        logs = deepest_layer(K, Side.DOMAIN, depth)
+        exact = [
+            math.log(iv.length.numerator) - math.log(iv.length.denominator)
+            for _, iv in enumerate_cylinders(K, depth)
+        ]
+        assert logs.size == len(exact)
+        for got, want in zip(logs, exact):
+            assert abs(got - want) <= 4 * depth * EPS * abs(want)
+
+    @pytest.mark.parametrize(
+        "digits, depth", [((1, 2), 6), ((2, 5, 9), 3), ((100, 200), 4)]
+    )
+    def test_image_logs_are_exact_normalized_diameters(self, digits, depth):
+        K = DigitSet(digits)
+        logs = deepest_layer(K, Side.IMAGE, depth)
+        whole = image_diameter(K)
+        cylinders = list(enumerate_image_cylinders(K, depth))
+        assert logs.size == len(cylinders)
+        for got, cyl in zip(logs, cylinders):
+            ratio = cyl.diameter / whole
+            n = ratio.denominator.bit_length() - 1
+            assert ratio == Fraction(1, 2**n)
+            assert got == -math.log(2) * n
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_series_equals_single_roots_bit_for_bit(self, side):
+        K = DigitSet((1, 3, 5))
+        solver = covering_root_domain if side is Side.DOMAIN else covering_root_image
+        for est in estimate_series(K, range(1, 6), side):
+            single = solver(K, est.depth)
+            assert (est.side, est.depth, est.cylinder_count) == (
+                single.side, single.depth, single.cylinder_count
+            )
+            assert (est.s_hat, est.sum_at_root, est.bracket) == (
+                single.s_hat, single.sum_at_root, single.bracket
+            )
+
+    def test_budget_scale(self):
+        assert 0.5 < covering_root_domain(K12, 20).s_hat < 0.55
+        assert abs(covering_root_image(NINE, 6).s_hat - float(moran_root(NINE).s)) <= 1e-8
+
+    def test_large_digit_image_returns_moran_root(self, capsys):
+        argv = ["empirical", "--digits", "100,200", "--side", "image", "--depths", "6"]
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        (row,) = json.loads(capsys.readouterr().out)["result"]["series"]
+        assert abs(row["s_hat"] - float(moran_root(DigitSet((100, 200))).s)) <= 1e-10
+
+    def test_huge_image_digits_keep_a_nonzero_slope(self):
+        # sum(length^s) underflows at the Newton points, its log does not
+        K = DigitSet((10**10, 2 * 10**10))
+        moran = float(moran_root(K).s)
+        for est in estimate_series(K, (1, 2), Side.IMAGE):
+            assert abs(est.s_hat - moran) <= 1e-6 * moran
+
+    @pytest.mark.parametrize(
+        "digits, side",
+        [
+            (f"1,{10**400}", Side.DOMAIN),
+            (f"1,{10**400}", Side.IMAGE),
+            (f"1,{10**308}", Side.IMAGE),  # digit sums overflow at depth 2
+        ],
+    )
+    def test_outside_float64_is_a_tolerance_failure(self, capsys, digits, side):
+        argv = ["empirical", "--digits", digits, "--side", side.value, "--depths", "1..3"]
+        assert main(argv) == EXIT_TOLERANCE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

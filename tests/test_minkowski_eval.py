@@ -53,6 +53,30 @@ class TestDyadicRational:
         assert float(quarter) == 0.25
         assert str(DyadicRational(3, 2)) == "3/4"
 
+    @pytest.mark.parametrize(
+        "dyadic, other",
+        [
+            (DyadicRational(1, 1), Fraction(1, 2)),
+            (DyadicRational(1, 1), Fraction(1, 3)),
+            (DyadicRational(1, 1), Fraction(2, 3)),
+            (DyadicRational(-3, 2), Fraction(-3, 4)),
+            (DyadicRational(4, 0), 4),
+            (DyadicRational(1, 1), 0),
+            (DyadicRational(3, 1), 1),
+            (DyadicRational(0, 5), 0),
+        ],
+    )
+    def test_mixes_with_fraction_and_int(self, dyadic, other):
+        """Comparisons and hashes agree with the equal Fraction, in both orders."""
+        value = dyadic.as_fraction()
+        assert (dyadic == other) is (value == other) is (other == dyadic)
+        assert (dyadic != other) is (value != other) is (other != dyadic)
+        assert (hash(dyadic) == hash(other)) is (value == other)
+        assert (dyadic < other) is (value < other) is (other > dyadic)
+        assert (dyadic <= other) is (value <= other) is (other >= dyadic)
+        assert (dyadic > other) is (value > other) is (other < dyadic)
+        assert (dyadic >= other) is (value >= other) is (other <= dyadic)
+
 
 class TestFinite:
     def test_examples(self):
