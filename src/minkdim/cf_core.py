@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError
@@ -182,10 +183,8 @@ def cf_value(cf: ContinuedFraction) -> Fraction:
     """Exact value of a finite continued fraction."""
     if not cf.is_finite:
         raise ValueError("value of a periodic continued fraction is irrational")
-    value = Fraction(0)
-    for a in reversed(cf.preperiod):
-        value = 1 / (a + value)
-    return value
+    _, _, p, q = _convergent_state(cf.preperiod)
+    return Fraction(p, q)
 
 
 def canonicalize(cf: ContinuedFraction) -> ContinuedFraction:
@@ -242,12 +241,6 @@ def _convergent_state(word: Sequence[int]) -> tuple[int, int, int, int]:
     return pm1, qm1, p, q
 
 
-def _interval_from_state(pm1: int, qm1: int, p: int, q: int) -> RationalInterval:
-    a = Fraction(p, q)
-    b = Fraction(p + pm1, q + qm1)
-    return RationalInterval(min(a, b), max(a, b))
-
-
 def cylinder_interval(prefix: Sequence[int]) -> RationalInterval:
     """The interval of all x in (0, 1] whose expansion starts with ``prefix``.
 
@@ -257,7 +250,10 @@ def cylinder_interval(prefix: Sequence[int]) -> RationalInterval:
     word = _checked_digits(prefix)
     if not word:
         raise ValueError("prefix must be nonempty")
-    return _interval_from_state(*_convergent_state(word))
+    pm1, qm1, p, q = _convergent_state(word)
+    a = Fraction(p, q)
+    b = Fraction(p + pm1, q + qm1)
+    return RationalInterval(min(a, b), max(a, b))
 
 
 def check_budget(K: DigitSet, depth: int, budget: int | None) -> None:
@@ -281,12 +277,5 @@ def enumerate_cylinders(
     if depth < 1:
         raise ValueError("depth must be positive")
     check_budget(K, depth, budget)
-
-    def walk(word, pm1, qm1, p, q):
-        if len(word) == depth:
-            yield word, _interval_from_state(pm1, qm1, p, q)
-            return
-        for k in K.digits:
-            yield from walk(word + (k,), p, q, k * p + pm1, k * q + qm1)
-
-    return walk((), 1, 0, 0, 1)
+    words = product(K.digits, repeat=depth)
+    return ((word, cylinder_interval(word)) for word in words)

@@ -12,10 +12,10 @@ The subcommands are the entries of one table, COMMANDS.  An entry's ``run``
 computes the command's values once and returns the report ``config``, the
 JSON ``result`` and the row records that the text and CSV outputs list;
 exact rationals stay Fractions until rendering.  Only the format named by
---format is rendered: JSON through DimensionReport, text and CSV through the
-entry's templates (a head line, one line per row record and, for text, an
-optional foot), which ``report.format_record`` fills from the config, the
-result and the row.
+--format is rendered: JSON through ``report.report_json``, text and CSV
+through the entry's templates (a head line, one line per row record and, for
+text, an optional foot), which ``report.format_record`` fills from the
+config, the result and the row.
 
 Every subcommand accepts --format {text,json,csv} and --out PATH; moran,
 verdict and empirical take --tol, whose default is the library's, and
@@ -47,7 +47,7 @@ from .empirical_dim import Side, estimate_series, successive_differences
 from .errors import BudgetExceededError, ToleranceError
 from .minkowski_eval import minkowski_finite, minkowski_periodic
 from .moran_solver import MIN_TOLERANCE, MoranRoot, moran_root
-from .report import DimensionReport, format_record, mpf_str
+from .report import format_record, mpf_str, report_json
 from .selfsimilar import enumerate_image_cylinders
 
 EXIT_OK = 0
@@ -197,10 +197,7 @@ def _eval(args) -> Records:
     else:
         cf = parse_cf(args.cf)
         config = {"cf": args.cf}
-    if cf.is_finite:
-        value = minkowski_finite(cf).as_fraction()
-    else:
-        value = minkowski_periodic(cf)
+    value = minkowski_finite(cf) if cf.is_finite else minkowski_periodic(cf)
     result = {"continued_fraction": str(cf), "value": value}
     return config, result, [result]
 
@@ -323,7 +320,7 @@ COMMANDS: dict[str, Command] = {
 def _render(name: str, fmt: str, config: dict, result: dict, rows: list[dict]) -> str:
     """The payload of one command in one format, with LF line endings."""
     if fmt == "json":
-        return DimensionReport(name, config, result).to_json() + "\n"
+        return report_json(name, config, result) + "\n"
     cmd = COMMANDS[name]
     head, line, *foot = cmd.text if fmt == "text" else cmd.csv
     scope = {**config, **result}

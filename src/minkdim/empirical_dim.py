@@ -71,8 +71,8 @@ def _log_lengths(K: DigitSet, side: Side, depth: int) -> Iterator[np.ndarray]:
         yield np.negative(logs, out=logs)
 
 
-def _solve_covering(logs: np.ndarray, tol: float) -> tuple[float, float, tuple[float, float]]:
-    """Root of g(s) = log(sum(exp(s * logs))) = 0, polished to |sum - 1| <= tol.
+def _solve_covering(logs: np.ndarray, target: float) -> tuple[float, float, tuple[float, float]]:
+    """Root of g(s) = log(sum(exp(s * logs))) = 0, polished to |g| <= target.
 
     g' is a weighted mean of the logs, so unlike the sum's slope it cannot underflow.
     """
@@ -94,7 +94,6 @@ def _solve_covering(logs: np.ndarray, tol: float) -> tuple[float, float, tuple[f
         np.multiply(scratch, logs, out=scratch)
         return float(scratch.sum() / total)
 
-    target = math.log1p(tol)  # |g| <= log1p(tol) gives |sum - 1| <= tol
     s, _, _, bracket = bisect_newton(
         g, g_prime, 0.0, 1.0, bisect_width=BISECT_WIDTH, residual_target=target
     )
@@ -150,18 +149,24 @@ def estimate_series(
     if depth_list[0] < 1:
         raise ValueError("depths must be positive")
     check_budget(K, depth_list[-1], budget)
+    target = math.log1p(tol)  # |g| <= log1p(tol) gives |sum - 1| <= tol
     estimates = []
     t0 = time.perf_counter()
     try:
         with np.errstate(all="raise", under="ignore"):  # exp may underflow to 0
             for depth, logs in enumerate(_log_lengths(K, side, depth_list[-1]), 1):
                 if depth in depth_list:
-                    root = _solve_covering(logs, tol)
+                    root = _solve_covering(logs, target)
                     ms = (time.perf_counter() - t0) * 1e3
                     estimates.append(CoveringEstimate(side, depth, logs.size, *root, ms))
                     t0 = time.perf_counter()
     except (OverflowError, FloatingPointError) as exc:
         raise ToleranceError(f"covering sums leave the float64 range ({exc})") from None
+    except ValueError:  # unbracketed: g(0) = log(S^depth) > 0, so g(1) rounded
+        raise ToleranceError(
+            "the covering sum at s = 1 rounds to 1 in float64, "
+            "so [0, 1] does not bracket the root"
+        ) from None
     return estimates
 
 

@@ -7,81 +7,64 @@ dyadic series
 
 It maps (0, 1] onto (0, 1] monotonically, sending rationals (finite words) to
 dyadic rationals m/2^e and eventually periodic expansions to rationals.
-Evaluation here is exact: finite words produce `DyadicRational`, periodic
-expansions produce `fractions.Fraction` via closed-form geometric summation,
-and digit prefixes produce certified `cf_core.RationalInterval` enclosures
-from the alternating-series bracket.  Floating point never enters; the sup/inf
-identities downstream hold bit-exactly.
+Evaluation here is exact: finite words give a `fractions.Fraction` whose
+denominator is a power of two (a `DyadicRational`), periodic expansions give
+a `Fraction` via closed-form geometric summation, and digit prefixes give
+certified `cf_core.RationalInterval` enclosures from the alternating-series
+bracket.  Floating point never enters; the sup/inf identities downstream hold
+bit-exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from typing import Sequence
 
 from .cf_core import ContinuedFraction, RationalInterval, _checked_digits
 
 
-@total_ordering
-@dataclass(frozen=True)
-class DyadicRational:
-    """Exact mantissa / 2^exponent with exponent >= 0, stored reduced.
+class DyadicRational(Fraction):
+    """The Fraction mantissa / 2^exponent, built from exponent >= 0.
 
-    Reduced means the mantissa is odd, or zero with exponent zero.  Values
-    compare and hash as the equal ``Fraction``, so they mix with Fractions
-    and ints in ==, <, <=, > and >= in either operand order; arithmetic
-    goes through ``as_fraction``.
+    ``mantissa`` and ``exponent`` read the reduced form: an odd mantissa, or
+    zero over 2^0.  Arithmetic returns plain Fractions.
     """
 
-    mantissa: int
-    exponent: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        m, e = int(self.mantissa), int(self.exponent)
-        if e < 0:
+    def __new__(cls, mantissa: int, exponent: int = 0):
+        if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        if m == 0:
-            e = 0
-        else:
-            # (m & -m).bit_length() - 1 counts trailing zero bits, sign-safe
-            shift = min(e, (m & -m).bit_length() - 1)
-            m >>= shift
-            e -= shift
-        object.__setattr__(self, "mantissa", m)
-        object.__setattr__(self, "exponent", e)
+        return super().__new__(cls, mantissa, 1 << exponent)
+
+    @property
+    def mantissa(self) -> int:
+        return self.numerator
+
+    @property
+    def exponent(self) -> int:
+        return self.denominator.bit_length() - 1
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.mantissa, 1 << self.exponent)
+        return Fraction(self)
 
-    def __eq__(self, other) -> bool:
-        value = _exact(other)
-        return NotImplemented if value is None else self.as_fraction() == value
+    # Fraction rebuilds copies as cls(numerator, denominator), which this
+    # constructor would read as numerator / 2^denominator
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.mantissa}, {self.exponent})"
 
-    def __lt__(self, other) -> bool:
-        value = _exact(other)
-        return NotImplemented if value is None else self.as_fraction() < value
+    def __reduce__(self):
+        return type(self), (self.mantissa, self.exponent)
 
-    def __hash__(self) -> int:
-        return hash(self.as_fraction())
+    def __copy__(self):
+        return self
 
-    def __float__(self) -> float:
-        return float(self.as_fraction())
-
-    def __str__(self) -> str:
-        return str(self.as_fraction())
+    def __deepcopy__(self, memo):
+        return self
 
 
-def _exact(value) -> Fraction | int | None:
-    """A DyadicRational, Fraction or int as a Fraction or int; None otherwise."""
-    if isinstance(value, DyadicRational):
-        return value.as_fraction()
-    return value if isinstance(value, (Fraction, int)) else None
-
-
-def _dyadic_parts(word: Sequence[int]) -> tuple[int, int]:
-    """Alternating sum over a digit word as (mantissa, exponent), exactly.
+def _word_value(word: Sequence[int]) -> DyadicRational:
+    """The alternating sum over a digit word, exactly; 0 for the empty word.
 
     With partial digit sums A_m, the value is
     sum_m (-1)^(m-1) 2^(1-A_m) = [sum_m (-1)^(m-1) 2^(1+A_n-A_m)] / 2^A_n.
@@ -93,13 +76,20 @@ def _dyadic_parts(word: Sequence[int]) -> tuple[int, int]:
         running += a
         term = 1 << (1 + total - running)
         mantissa += -term if i % 2 else term
-    return mantissa, total
+    return DyadicRational(mantissa, total)
 
 
-def _word_value(word: Sequence[int]) -> Fraction:
-    """The alternating sum over a digit word; 0 for the empty word."""
-    mantissa, exponent = _dyadic_parts(word)
-    return Fraction(mantissa, 1 << exponent)
+def _tail_hull(word: tuple[int, ...], lo: Fraction, hi: Fraction) -> RationalInterval:
+    """head(word) + (-1)^n 2^-(sum of word) * [lo, hi], where n = len(word).
+
+    The hull of the values whose expansion starts with ``word`` when the
+    series tails after it, unsigned and unscaled, range over [lo, hi].
+    """
+    head = _word_value(word)
+    scale = Fraction(1, 1 << sum(word))
+    if len(word) % 2 == 0:
+        return RationalInterval(head + scale * lo, head + scale * hi)
+    return RationalInterval(head - scale * hi, head - scale * lo)
 
 
 def minkowski_finite(cf: ContinuedFraction) -> DyadicRational:
@@ -110,7 +100,7 @@ def minkowski_finite(cf: ContinuedFraction) -> DyadicRational:
     """
     if not cf.is_finite:
         raise ValueError("finite continued fraction required")
-    return DyadicRational(*_dyadic_parts(cf.preperiod))
+    return _word_value(cf.preperiod)
 
 
 def minkowski_enclosure(prefix: Sequence[int]) -> RationalInterval:
@@ -118,17 +108,13 @@ def minkowski_enclosure(prefix: Sequence[int]) -> RationalInterval:
 
     The series alternates with strictly decreasing terms, so every
     continuation lands between the length-n partial sum S_n and
-    S_n + (-1)^n 2^-(a1+...+an), the partial sum shifted by a signed bound on
-    the whole remaining tail.  Length is exactly 2^-(a1+...+an) > 0.
+    S_n + (-1)^n 2^-(a1+...+an): the tail hull with tails in [0, 1].
+    Length is exactly 2^-(a1+...+an) > 0.
     """
     word = _checked_digits(prefix)
     if not word:
         raise ValueError("prefix must be nonempty")
-    s_n = _word_value(word)
-    tail_bound = Fraction(1, 1 << sum(word))
-    if len(word) % 2 == 0:
-        return RationalInterval(s_n, s_n + tail_bound)
-    return RationalInterval(s_n - tail_bound, s_n)
+    return _tail_hull(word, Fraction(0), Fraction(1))
 
 
 def minkowski_periodic(cf: ContinuedFraction) -> Fraction:

@@ -1,20 +1,18 @@
-"""Report assembly: exact values with decimal companions, JSON round-trip.
+"""Report assembly: exact values with decimal companions.
 
 Reports are the public output contract of the CLI.  Exact rationals are
 rendered both as "p/q" strings and as decimals with 15 significant digits
 (round-half-even); solver outputs carry high-precision decimal strings.  A
 report serializes to a JSON object with top-level fields
-{schema_version, command, config, result, diagnostics} and reconstructs
-losslessly from its own JSON.  Records keep exact rationals as Fractions
-until one format renders them: ``format_record`` for text and CSV, the
-report's JSON as {"exact", "decimal"} pairs.
+{schema_version, command, config, result, diagnostics}.  Records keep exact
+rationals as Fractions until one format renders them: ``format_record`` for
+text and CSV, ``report_json`` as {"exact", "decimal"} pairs.
 """
 
 from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
@@ -83,37 +81,13 @@ def _json_value(value: Any) -> Any:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-@dataclass
-class DimensionReport:
-    """One CLI invocation's machine-readable output."""
-
-    command: str
-    config: dict[str, Any]
-    result: dict[str, Any]
-    diagnostics: dict[str, Any] = field(default_factory=dict)
-    schema_version: str = SCHEMA_VERSION
-
-    def to_dict(self) -> dict[str, Any]:
-        diagnostics = {"tool_version": __version__, **self.diagnostics}
-        return {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "config": self.config,
-            "result": self.result,
-            "diagnostics": diagnostics,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, default=_json_value)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "DimensionReport":
-        diagnostics = dict(d["diagnostics"])
-        diagnostics.pop("tool_version", None)
-        return cls(
-            command=d["command"],
-            config=d["config"],
-            result=d["result"],
-            diagnostics=diagnostics,
-            schema_version=d["schema_version"],
-        )
+def report_json(command: str, config: dict[str, Any], result: dict[str, Any]) -> str:
+    """One CLI invocation's machine-readable output, as indented JSON."""
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "config": config,
+        "result": result,
+        "diagnostics": {"tool_version": __version__},
+    }
+    return json.dumps(report, indent=2, default=_json_value)

@@ -30,7 +30,7 @@ from .cf_core import (
     _checked_digits,
     check_budget,
 )
-from .minkowski_eval import _word_value, minkowski_periodic
+from .minkowski_eval import _tail_hull, minkowski_periodic
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,8 @@ def tail_set_diameter(K: DigitSet, rank: int = 0) -> Fraction:
 
 
 def _hull(word: tuple[int, ...], sup0: Fraction, inf0: Fraction) -> ImageCylinder:
-    # head + (-1)^n 2^-(sum word) * (full image set)
-    head = _word_value(word)
-    scale = Fraction(1, 2 ** sum(word))
-    if len(word) % 2 == 0:
-        lo, hi = head + scale * inf0, head + scale * sup0
-    else:
-        lo, hi = head - scale * sup0, head - scale * inf0
-    return ImageCylinder(word, RationalInterval(lo, hi))
+    # the unscaled tail after the head is ?(y) for a y with digits in K
+    return ImageCylinder(word, _tail_hull(word, inf0, sup0))
 
 
 def image_cylinder(K: DigitSet, word: Sequence[int]) -> ImageCylinder:

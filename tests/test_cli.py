@@ -18,7 +18,6 @@ from minkdim.cli import (
     parse_rational,
     resolve_budget,
 )
-from minkdim.report import DimensionReport
 
 
 class TestParsers:
@@ -86,12 +85,6 @@ class TestMoranCommand:
         s = payload["result"]["moran_root"]["s_float"]
         assert abs(s - 0.9985778625536) <= 1e-10
         assert "tool_version" in payload["diagnostics"]
-
-    def test_json_round_trip(self, capsys):
-        main(["moran", "--digits", "1,2", "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        report = DimensionReport.from_dict(payload)
-        assert report.to_dict() == payload
 
     def test_golden_value(self, capsys):
         assert main(["moran", "--digits", "1,2", "--format", "json"]) == EXIT_OK
@@ -242,6 +235,15 @@ class TestEmpiricalCommand:
             argv = ["empirical", "--digits", digits, "--depths", "1,2", "--format", "csv"]
             assert main(argv) == EXIT_OK
             assert capsys.readouterr().out.count("\n") == 3
+
+    def test_unbracketed_root_is_a_tolerance_failure(self, capsys):
+        # at s = 1 the image sum is 1 - 2^-60, which rounds to 1 in float64
+        argv = ["empirical", "--digits", "1..60", "--side", "image", "--depths", "1"]
+        assert main(argv) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "rounds" in captured.err
 
     @pytest.mark.parametrize("digits, depths", [("1..9", "5000"), ("1,2", "20000")])
     def test_budget_at_huge_depth(self, capsys, digits, depths):

@@ -5,6 +5,8 @@ alternating-series bracket (consecutive partial sums straddle any infinite
 continuation), both independent of the dyadic fast path under test.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -52,6 +54,30 @@ class TestDyadicRational:
         assert half.as_fraction() == Fraction(1, 2)
         assert float(quarter) == 0.25
         assert str(DyadicRational(3, 2)) == "3/4"
+
+    def test_is_a_fraction(self):
+        value = minkowski_finite(ContinuedFraction((1, 2)))
+        assert isinstance(value, Fraction)
+        assert (value.mantissa, value.exponent) == (3, 2)
+        assert type(value.as_fraction()) is Fraction
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            copy.copy,
+            copy.deepcopy,
+            lambda x: pickle.loads(pickle.dumps(x)),
+            lambda x: eval(repr(x)),
+        ],
+        ids=["copy", "deepcopy", "pickle", "repr"],
+    )
+    @pytest.mark.parametrize("mantissa, exponent", [(3, 2), (-5, 7), (0, 0), (12, 0)])
+    def test_clones_keep_value_and_type(self, clone, mantissa, exponent):
+        """Fraction's own versions would rebuild 3/4 as DyadicRational(3, 4)."""
+        x = DyadicRational(mantissa, exponent)
+        y = clone(x)
+        assert y == x and type(y) is DyadicRational
+        assert (y.mantissa, y.exponent) == (x.mantissa, x.exponent)
 
     @pytest.mark.parametrize(
         "dyadic, other",

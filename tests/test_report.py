@@ -1,14 +1,14 @@
-"""Report rendering: decimal contract and JSON round-trip."""
+"""Report rendering: decimal contract and JSON envelope."""
 
 import json
 from fractions import Fraction
 
 from minkdim.report import (
-    DimensionReport,
     decimal_str,
     exact_number,
     fraction_str,
     mpf_str,
+    report_json,
 )
 
 
@@ -38,8 +38,7 @@ class TestDecimalRendering:
 
 class TestDimensionReport:
     def test_envelope_fields(self):
-        report = DimensionReport("moran", {"digits": [1, 2]}, {"x": 1.5})
-        payload = report.to_dict()
+        payload = json.loads(report_json("moran", {"digits": [1, 2]}, {"x": 1.5}))
         assert set(payload) == {
             "schema_version",
             "command",
@@ -48,15 +47,3 @@ class TestDimensionReport:
             "diagnostics",
         }
         assert payload["diagnostics"]["tool_version"]
-
-    def test_json_round_trip(self):
-        report = DimensionReport(
-            "empirical",
-            {"digits": [1, 2], "depths": [1, 2]},
-            {"series": [{"s_hat": 0.5480247690000661}]},
-            {"note": "x"},
-        )
-        payload = json.loads(report.to_json())
-        rebuilt = DimensionReport.from_dict(payload)
-        assert rebuilt == report
-        assert rebuilt.to_dict() == payload
