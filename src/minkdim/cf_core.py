@@ -256,23 +256,24 @@ def cylinder_interval(prefix: Sequence[int]) -> RationalInterval:
     return RationalInterval(min(a, b), max(a, b))
 
 
-def check_budget(K: DigitSet, depth: int, budget: int | None) -> None:
-    """Raise BudgetExceededError if S^depth exceeds budget (default DEFAULT_BUDGET)."""
-    limit = DEFAULT_BUDGET if budget is None else budget
-    # S >= 2, so depth >= bit_length(limit) already gives S^depth > limit;
+def check_budget(K: DigitSet, depth: int, budget: int) -> None:
+    """Raise BudgetExceededError if S^depth exceeds a positive budget."""
+    if budget < 1:
+        raise ValueError("budget must be a positive integer")
+    # S >= 2, so depth >= bit_length(budget) already gives S^depth > budget;
     # the power itself is slow and unprintable at such depths
-    if depth >= limit.bit_length() or K.size**depth > limit:
-        raise BudgetExceededError(f"{K.size}^{depth}", limit)
+    if depth >= budget.bit_length() or K.size**depth > budget:
+        raise BudgetExceededError(f"{K.size}^{depth}", budget)
 
 
 def enumerate_cylinders(
-    K: DigitSet, depth: int, budget: int | None = None
+    K: DigitSet, depth: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[tuple[int, ...], RationalInterval]]:
     """All S^depth depth-n cylinders over K, in lexicographic word order.
 
     Sibling cylinders have disjoint interiors and each is nested in its
     parent; raises BudgetExceededError at call time if S^depth exceeds the
-    budget (default DEFAULT_BUDGET).
+    budget.
     """
     if depth < 1:
         raise ValueError("depth must be positive")

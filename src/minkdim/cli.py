@@ -18,18 +18,18 @@ text, an optional foot), which ``report.format_record`` fills from the
 config, the result and the row.
 
 Every subcommand accepts --format {text,json,csv} and --out PATH; moran,
-verdict and empirical take --tol, whose default is the library's, and
-empirical and construct take --budget N, where the environment variable
-MINKDIM_BUDGET overrides the default enumeration budget when --budget is
-absent.  An option a subcommand does not read is a usage error.  Exit codes:
-0 success, 2 usage error, 3 budget exceeded, 4 internal tolerance failure.
+verdict and empirical take --tol, and empirical and construct take
+--budget N.  Their defaults are the library's, and the library checks them:
+the solver tolerance range and the budget are each decided in one place.  An
+option a subcommand does not read is a usage error.  Exit codes: 0 success,
+2 usage error (including an exact value too long to print), 3 budget
+exceeded, 4 internal tolerance failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
@@ -46,7 +46,7 @@ from .dim_bounds import BoundsInterval, jarnik_bounds, preservation_verdict
 from .empirical_dim import Side, estimate_series, successive_differences
 from .errors import BudgetExceededError, ToleranceError
 from .minkowski_eval import minkowski_finite, minkowski_periodic
-from .moran_solver import MIN_TOLERANCE, MoranRoot, moran_root
+from .moran_solver import MoranRoot, moran_root
 from .report import format_record, mpf_str, report_json
 from .selfsimilar import enumerate_image_cylinders
 
@@ -54,8 +54,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_TOLERANCE = 4
-
-MAX_SOLVER_TOLERANCE = 1e-3
 
 
 def _parse_range_list(text: str, noun: str) -> list[int]:
@@ -126,29 +124,6 @@ def parse_cf(text: str) -> ContinuedFraction:
         raise ValueError(f"cannot parse continued fraction {text!r}") from None
 
 
-def resolve_budget(value: int | None) -> int:
-    """--budget flag, else MINKDIM_BUDGET, else the library default."""
-    if value is None:
-        env = os.environ.get("MINKDIM_BUDGET")
-        if env is None:
-            return DEFAULT_BUDGET
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"MINKDIM_BUDGET is not an integer: {env!r}") from None
-    if value < 1:
-        raise ValueError("budget must be a positive integer")
-    return value
-
-
-def _solver_tol(tol: float) -> float:
-    if not MIN_TOLERANCE <= tol <= MAX_SOLVER_TOLERANCE:
-        raise ValueError(
-            f"tolerance must lie in [2^-50, {MAX_SOLVER_TOLERANCE}], got {tol}"
-        )
-    return tol
-
-
 def _root_record(root: MoranRoot) -> dict[str, Any]:
     return {
         "s": mpf_str(root.s),
@@ -168,9 +143,8 @@ Records = tuple[dict[str, Any], dict[str, Any], list[dict[str, Any]]]
 
 def _moran(args) -> Records:
     K = parse_digit_spec(args.digits)
-    tol = _solver_tol(args.tol)
-    root = _root_record(moran_root(K, tol))
-    config = {"digits": list(K.digits), "tol": tol}
+    root = _root_record(moran_root(K, args.tol))
+    config = {"digits": list(K.digits), "tol": args.tol}
     return config, {"digit_set": str(K), "moran_root": root}, [root]
 
 
@@ -206,15 +180,13 @@ def _empirical(args) -> Records:
     K = parse_digit_spec(args.digits)
     depths = parse_depth_spec(args.depths)
     side = Side(args.side)
-    tol = _solver_tol(args.tol)
-    budget = resolve_budget(args.budget)
-    series = estimate_series(K, depths, side, tol, budget)
+    series = estimate_series(K, depths, side, args.tol, args.budget)
     config = {
         "digits": list(K.digits),
         "depths": depths,
         "side": side.value,
-        "tol": tol,
-        "budget": budget,
+        "tol": args.tol,
+        "budget": args.budget,
     }
     rows = [asdict(e) for e in series]
     return config, {"series": rows, "differences": successive_differences(series)}, rows
@@ -222,7 +194,6 @@ def _empirical(args) -> Records:
 
 def _construct(args) -> Records:
     K = parse_digit_spec(args.digits)
-    budget = resolve_budget(args.budget)
     rows = [
         {
             "word": cyl.word,
@@ -230,9 +201,9 @@ def _construct(args) -> Records:
             "sup": cyl.enclosure.hi,
             "diameter": cyl.diameter,
         }
-        for cyl in enumerate_image_cylinders(K, args.depth, budget)
+        for cyl in enumerate_image_cylinders(K, args.depth, args.budget)
     ]
-    config = {"digits": list(K.digits), "depth": args.depth, "budget": budget}
+    config = {"digits": list(K.digits), "depth": args.depth, "budget": args.budget}
     return config, {"cylinders": rows}, rows
 
 
@@ -358,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
             text = f"tolerance (default: {tol})"
             p.add_argument("--tol", type=float, default=tol, help=text)
         if budget:
-            text = f"enumeration budget (default: MINKDIM_BUDGET or {DEFAULT_BUDGET})"
-            p.add_argument("--budget", type=int, help=text)
+            text = f"enumeration budget (default: {DEFAULT_BUDGET})"
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=text)
         return p
 
     p = command("moran", "Moran root for a digit set", moran_solver.DEFAULT_TOLERANCE)
@@ -401,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        records = COMMANDS[args.command].run(args)
+        payload = _render(args.command, args.format, *COMMANDS[args.command].run(args))
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -411,7 +382,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    payload = _render(args.command, args.format, *records)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)

@@ -26,9 +26,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .cf_core import DigitSet, check_budget
+from .cf_core import DEFAULT_BUDGET, DigitSet, check_budget
 from .errors import ToleranceError
-from .moran_solver import BISECT_WIDTH, bisect_newton
+from .moran_solver import bisect_newton, check_tolerance
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -94,14 +94,12 @@ def _solve_covering(logs: np.ndarray, target: float) -> tuple[float, float, tupl
         np.multiply(scratch, logs, out=scratch)
         return float(scratch.sum() / total)
 
-    s, _, _, bracket = bisect_newton(
-        g, g_prime, 0.0, 1.0, bisect_width=BISECT_WIDTH, residual_target=target
-    )
+    s, _, _, bracket = bisect_newton(g, g_prime, 0.0, 1.0, residual_target=target)
     return s, math.exp(g(s)), (float(bracket[0]), float(bracket[1]))
 
 
 def covering_root_domain(
-    K: DigitSet, depth: int, tol: float = DEFAULT_TOLERANCE, budget: int | None = None
+    K: DigitSet, depth: int, tol: float = DEFAULT_TOLERANCE, budget: int = DEFAULT_BUDGET
 ) -> CoveringEstimate:
     """Root of sum(length^s) = 1 over the depth-n cylinders of the restricted set.
 
@@ -109,24 +107,18 @@ def covering_root_domain(
     restricted cylinders omit part of every parent interval), so the root is
     unique in (0, 1).
     """
-    return _single(K, depth, Side.DOMAIN, tol, budget)
+    return estimate_series(K, (depth,), Side.DOMAIN, tol, budget)[0]
 
 
 def covering_root_image(
-    K: DigitSet, depth: int, tol: float = DEFAULT_TOLERANCE, budget: int | None = None
+    K: DigitSet, depth: int, tol: float = DEFAULT_TOLERANCE, budget: int = DEFAULT_BUDGET
 ) -> CoveringEstimate:
     """Root over depth-n image cylinders, diameters normalized by the image diameter.
 
     Each normalized diameter is exactly 2^-(digit sum), so algebraically the
     root equals the Moran root at every depth.
     """
-    return _single(K, depth, Side.IMAGE, tol, budget)
-
-
-def _single(K: DigitSet, depth: int, side: Side, tol: float, budget: int | None):
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    return estimate_series(K, (depth,), side, tol, budget)[0]
+    return estimate_series(K, (depth,), Side.IMAGE, tol, budget)[0]
 
 
 def estimate_series(
@@ -134,15 +126,16 @@ def estimate_series(
     depths: Iterable[int],
     side: Side,
     tol: float = DEFAULT_TOLERANCE,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[CoveringEstimate]:
     """One covering estimate per depth, ascending, for stability diagnostics.
 
     The layers are built once, up to the deepest depth; each estimate's
     ``wall_time_ms`` is the time since the previous one.  The whole series is
     budget-checked against its deepest level up front so a long run cannot
-    fail halfway through.
+    fail halfway through; ``tol`` must lie in the Moran solver's range.
     """
+    check_tolerance(tol)
     depth_list = sorted(set(int(d) for d in depths))
     if not depth_list:
         raise ValueError("need at least one depth")

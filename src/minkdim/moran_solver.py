@@ -26,10 +26,18 @@ from .cf_core import DigitSet
 from .errors import ToleranceError
 
 PRECISION_BITS = 128  # working precision for all solver arithmetic
-MIN_TOLERANCE = 2.0**-50
+MIN_TOLERANCE = 2.0**-50  # tol must lie in [MIN_TOLERANCE, MAX_TOLERANCE]
+MAX_TOLERANCE = 1e-3
 DEFAULT_TOLERANCE = 1e-12
 BISECT_WIDTH = 2.0**-20  # bracket width handed from bisection to Newton
+MAX_NEWTON = 64  # Newton steps allowed after bisection
 _RESIDUAL_BITS = 100  # Newton polishes |f(s) - 1| below 2^-100
+
+
+def check_tolerance(tol: float) -> None:
+    """Raise ValueError unless tol lies in [MIN_TOLERANCE, MAX_TOLERANCE]."""
+    if not MIN_TOLERANCE <= tol <= MAX_TOLERANCE:
+        raise ValueError(f"tolerance must lie in [2^-50, {MAX_TOLERANCE}], got {tol}")
 
 
 @dataclass(frozen=True)
@@ -61,30 +69,22 @@ def _moran_derivative(K: DigitSet, s) -> mpf:
         return -mp.ln2 * mp.fsum(k * mpf(2) ** (-k * sv) for k in K.digits)
 
 
-def bisect_newton(
-    h: Callable,
-    h_prime: Callable,
-    lo,
-    hi,
-    *,
-    bisect_width,
-    residual_target,
-    max_newton: int = 64,
-):
+def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):
     """Root of a strictly decreasing h on [lo, hi] with h(lo) > 0 > h(hi).
 
-    Bisection narrows the bracket to ``bisect_width``; Newton steps (clamped
-    to the live bracket, falling back to its midpoint) then polish until
+    Bisection narrows the bracket to BISECT_WIDTH; Newton steps (clamped to
+    the live bracket, falling back to its midpoint) then polish until
     |h| <= residual_target.  Works unchanged over floats and mpmath floats.
 
     Returns (root, |h(root)|, evaluations, bracket); raises ToleranceError
-    if the target is unreachable within max_newton steps.
+    if the target is unreachable within MAX_NEWTON steps, and ValueError if
+    h(lo) > 0 > h(hi) fails.
     """
     h_lo, h_hi = h(lo), h(hi)
     iterations = 2
     if not (h_lo > 0 > h_hi):
         raise ValueError("root not bracketed: need h(lo) > 0 > h(hi)")
-    while hi - lo > bisect_width:
+    while hi - lo > BISECT_WIDTH:
         mid = (lo + hi) / 2
         hm = h(mid)
         iterations += 1
@@ -97,7 +97,7 @@ def bisect_newton(
     s = (lo + hi) / 2
     res = h(s)
     iterations += 1
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         if abs(res) <= residual_target:
             return s, abs(res), iterations, (lo, hi)
         if res > 0:
@@ -123,25 +123,23 @@ def bisect_newton(
 def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
     """Unique root of sum(2^(-k s)) = 1 over K, certified to |f(s)-1| <= tol.
 
-    ``tol`` must be at least 2^-50.  Monotonicity plus the endpoint values
-    f(0) = S > 1 > f(1) guarantee existence and uniqueness in (0, 1); the
-    returned residual is in practice near 2^-100 regardless of tol.  If
-    f(1) - 1 rounds to zero at PRECISION_BITS (it is -2^-n for K = {1..n},
-    so n >= 129), the endpoints no longer bracket the root numerically and
-    ToleranceError is raised.
+    ``tol`` must lie in [MIN_TOLERANCE, MAX_TOLERANCE] (``check_tolerance``);
+    the root is always polished to |f(s) - 1| <= 2^-100, so it meets every
+    accepted tol.  Monotonicity plus the endpoint values f(0) = S > 1 > f(1)
+    guarantee existence and uniqueness in (0, 1).  If f(1) - 1 rounds to
+    zero at PRECISION_BITS (it is -2^-n for K = {1..n}, so n >= 129), the
+    endpoints no longer bracket the root numerically and ToleranceError is
+    raised.
     """
-    if tol < MIN_TOLERANCE:
-        raise ValueError(f"tolerance {tol} below the 2^-50 floor")
+    check_tolerance(tol)
     with mp.workprec(PRECISION_BITS):
-        target = min(mpf(tol), mpf(2) ** -_RESIDUAL_BITS)
         try:
             s, res, iters, bracket = bisect_newton(
                 lambda s: moran_function(K, s) - 1,
                 lambda s: _moran_derivative(K, s),
                 mpf(0),
                 mpf(1),
-                bisect_width=mpf(BISECT_WIDTH),
-                residual_target=target,
+                residual_target=mpf(2) ** -_RESIDUAL_BITS,
             )
         except ValueError:  # f(0) - 1 = S - 1 > 0 is exact, so f(1) - 1 rounded
             raise ToleranceError(

@@ -24,6 +24,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .cf_core import (
+    DEFAULT_BUDGET,
     ContinuedFraction,
     DigitSet,
     RationalInterval,
@@ -105,11 +106,6 @@ def tail_set_diameter(K: DigitSet, rank: int = 0) -> Fraction:
     return tail_set_sup(K, rank) - tail_set_inf(K, rank)
 
 
-def _hull(word: tuple[int, ...], sup0: Fraction, inf0: Fraction) -> ImageCylinder:
-    # the unscaled tail after the head is ?(y) for a y with digits in K
-    return ImageCylinder(word, _tail_hull(word, inf0, sup0))
-
-
 def image_cylinder(K: DigitSet, word: Sequence[int]) -> ImageCylinder:
     """Exact hull of the image points whose expansion starts with ``word``.
 
@@ -123,11 +119,11 @@ def image_cylinder(K: DigitSet, word: Sequence[int]) -> ImageCylinder:
     for d in w:
         if d not in K:
             raise ValueError(f"digit {d} is not in {K}")
-    return _hull(w, image_sup(K), image_inf(K))
+    return ImageCylinder(w, _tail_hull(w, image_inf(K), image_sup(K)))
 
 
 def enumerate_image_cylinders(
-    K: DigitSet, depth: int, budget: int | None = None
+    K: DigitSet, depth: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[ImageCylinder]:
     """All S^depth image cylinders at the given depth, lexicographic.
 
@@ -138,5 +134,6 @@ def enumerate_image_cylinders(
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     check_budget(K, depth, budget)
-    sup0, inf0 = image_sup(K), image_inf(K)
-    return (_hull(word, sup0, inf0) for word in product(K.digits, repeat=depth))
+    inf0, sup0 = image_inf(K), image_sup(K)
+    words = product(K.digits, repeat=depth)
+    return (ImageCylinder(w, _tail_hull(w, inf0, sup0)) for w in words)

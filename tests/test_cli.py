@@ -16,7 +16,6 @@ from minkdim.cli import (
     parse_depth_spec,
     parse_digit_spec,
     parse_rational,
-    resolve_budget,
 )
 
 
@@ -55,19 +54,6 @@ class TestParsers:
         for text in ("1;2", "0;", "0;2,(1,2", "0;x"):
             with pytest.raises(ValueError):
                 parse_cf(text)
-
-    def test_budget_resolution(self, monkeypatch):
-        monkeypatch.delenv("MINKDIM_BUDGET", raising=False)
-        assert resolve_budget(None) == 2_000_000
-        assert resolve_budget(50) == 50
-        monkeypatch.setenv("MINKDIM_BUDGET", "123")
-        assert resolve_budget(None) == 123
-        assert resolve_budget(99) == 99  # explicit flag wins
-        monkeypatch.setenv("MINKDIM_BUDGET", "junk")
-        with pytest.raises(ValueError):
-            resolve_budget(None)
-        with pytest.raises(ValueError):
-            resolve_budget(0)
 
 
 class TestMoranCommand:
@@ -214,6 +200,8 @@ class TestEmpiricalCommand:
             main(["empirical", "--digits", "1..9", "--depths", "1..9"])
             == EXIT_BUDGET
         )
+        argv = ["empirical", "--digits", "1,2", "--depths", "2", "--budget", "-5"]
+        assert main(argv) == EXIT_USAGE  # a budget must be positive
 
     def test_csv_header_rows_and_line_endings(self, capsys):
         argv = ["empirical", "--digits", "1,2", "--side", "image", "--depths", "1..3"]
@@ -253,16 +241,6 @@ class TestEmpiricalCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and len(err[0]) < 200
 
-    def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("MINKDIM_BUDGET", "10")
-        assert (
-            main(["empirical", "--digits", "1,2", "--depths", "4"]) == EXIT_BUDGET
-        )
-        monkeypatch.setenv("MINKDIM_BUDGET", "not-a-number")
-        assert (
-            main(["empirical", "--digits", "1,2", "--depths", "2"]) == EXIT_USAGE
-        )
-
 
 class TestConstructCommand:
     def test_depth_zero_whole_image(self, capsys):
@@ -297,6 +275,8 @@ class TestConstructCommand:
             ["construct", "--digits", "1..9", "--depth", "9", "--budget", "100"]
         )
         assert rc == EXIT_BUDGET
+        argv = ["construct", "--digits", "1,2", "--depth", "1", "--budget", "0"]
+        assert main(argv) == EXIT_USAGE  # a budget must be positive
 
     def test_budget_at_huge_depth(self, capsys):
         argv = ["construct", "--digits", "1..9", "--depth", "100000000"]
@@ -340,6 +320,23 @@ def test_options_are_scoped_to_the_commands_that_read_them(
     if code == EXIT_OK:
         config = json.loads(capsys.readouterr().out)["config"]
         assert config[option[2:]] == float(value)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--rational", "123456789/987654321"],
+        ["eval", "--cf", "0;(1,20000)"],
+        ["construct", "--digits", "1,14000", "--depth", "1"],
+    ],
+)
+def test_value_too_long_to_print_is_a_usage_error(capsys, argv, fmt):
+    """Exact values past int-to-str's 4,300-digit limit exit 2 with one line."""
+    assert main([*argv, "--format", fmt]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
 class TestOutputPlumbing:

@@ -19,8 +19,7 @@ import golden  # noqa: E402
 
 @pytest.mark.parametrize("fmt", golden.FORMATS)
 @pytest.mark.parametrize("name", list(golden.README_COMMANDS))
-def test_readme_command_matches_golden(name, fmt, capsys, monkeypatch):
-    monkeypatch.delenv("MINKDIM_BUDGET", raising=False)
+def test_readme_command_matches_golden(name, fmt, capsys):
     assert main(golden.cli_argv(name, fmt)) == EXIT_OK
     got = capsys.readouterr().out
     assert golden.compare(fmt, golden.load_golden(name, fmt), got) is None

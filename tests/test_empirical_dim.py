@@ -155,13 +155,23 @@ class TestSeries:
             estimate_series(NINE, range(1, 10), Side.DOMAIN)
         with pytest.raises(BudgetExceededError):
             estimate_series(K12, (2, 12), Side.DOMAIN, budget=100)
+        with pytest.raises(ValueError):
+            estimate_series(K12, (2,), Side.DOMAIN, budget=0)
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             estimate_series(K12, (), Side.DOMAIN)
         with pytest.raises(ValueError):
             estimate_series(K12, (0, 2), Side.DOMAIN)
+        with pytest.raises(ValueError):
+            covering_root_domain(K12, 0)
 
+    def test_tolerance_range(self):
+        """The Moran solver's range [2^-50, 1e-3] holds for covering sums too."""
+        with pytest.raises(ValueError):
+            estimate_series(K12, (2,), Side.DOMAIN, tol=1e-2)
+        with pytest.raises(ValueError):
+            covering_root_domain(K12, 2, tol=2.0**-51)
 
 
 def deepest_layer(K, side, depth):

@@ -102,6 +102,10 @@ class TestMoranRoot:
         with pytest.raises(ValueError):
             moran_root(DigitSet((1, 2)), tol=2.0**-51)
 
+    def test_tolerance_ceiling(self):
+        with pytest.raises(ValueError):
+            moran_root(DigitSet((1, 2)), tol=1e-2)
+
     def test_single_digit_set_unrepresentable(self):
         with pytest.raises(ValueError):
             DigitSet((3,))
@@ -114,7 +118,6 @@ class TestBisectNewton:
             lambda s: -3.0,
             0.0,
             1.0,
-            bisect_width=2.0**-10,
             residual_target=1e-12,
         )
         assert abs(s - 2.0 / 3.0) < 1e-12
@@ -129,7 +132,6 @@ class TestBisectNewton:
                 lambda s: 1.0,
                 0.0,
                 1.0,
-                bisect_width=0.5,
                 residual_target=1e-6,
             )
 
@@ -140,7 +142,5 @@ class TestBisectNewton:
                 lambda s: -3.0,
                 0.0,
                 1.0,
-                bisect_width=2.0**-10,
                 residual_target=-1.0,  # |res| can never go negative
-                max_newton=5,
             )

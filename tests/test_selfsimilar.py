@@ -243,3 +243,5 @@ class TestEnumeration:
             enumerate_image_cylinders(DigitSet((1, 2)), 10, budget=100)
         with pytest.raises(ValueError):
             enumerate_image_cylinders(DigitSet((1, 2)), -1)
+        with pytest.raises(ValueError):
+            enumerate_image_cylinders(DigitSet((1, 2)), 1, budget=0)
