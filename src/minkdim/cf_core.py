@@ -49,8 +49,8 @@ class ContinuedFraction:
     """A finite or eventually periodic continued fraction [0; a1, a2, ...].
 
     ``preperiod`` holds the leading digits; a nonempty ``period`` repeats
-    forever after them.  The period must be primitive (not a power of a
-    shorter word) so every eventually periodic number has one stored form.
+    forever after them; a period that repeats a shorter word is stored as
+    that word, so every eventually periodic number has one stored form.
     Finite words may be non-canonical (trailing digit 1); ``canonicalize``
     maps them to the canonical representative.
     """
@@ -60,11 +60,9 @@ class ContinuedFraction:
 
     def __post_init__(self):
         object.__setattr__(self, "preperiod", _checked_digits(self.preperiod))
-        object.__setattr__(self, "period", _checked_digits(self.period))
+        object.__setattr__(self, "period", primitive_root(_checked_digits(self.period)))
         if not self.preperiod and not self.period:
             raise ValueError("a continued fraction needs at least one digit")
-        if primitive_root(self.period) != self.period:
-            raise ValueError(f"period {self.period} repeats a shorter word")
 
     @property
     def is_finite(self) -> bool:

@@ -22,8 +22,8 @@ verdict and empirical take --tol, and empirical and construct take
 --budget N.  Their defaults are the library's, and the library checks them:
 the solver tolerance range and the budget are each decided in one place.  An
 option a subcommand does not read is a usage error.  Exit codes: 0 success,
-2 usage error (including an exact value too long to print), 3 budget
-exceeded, 4 internal tolerance failure.
+2 usage error (including a range list of over MAX_RANGE_LIST values and an
+exact value too long to print), 3 budget exceeded, 4 tolerance failure.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .cf_core import (
     ContinuedFraction,
     DigitSet,
     cf_from_rational,
-    primitive_root,
 )
 from .dim_bounds import BoundsInterval, jarnik_bounds, preservation_verdict
 from .empirical_dim import Side, estimate_series, successive_differences
@@ -54,25 +53,27 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_TOLERANCE = 4
+MAX_RANGE_LIST = 10**6  # values a range list may spell, checked before any is built
+_EXIT_CODES = {BudgetExceededError: EXIT_BUDGET, ToleranceError: EXIT_TOLERANCE}
 
 
 def _parse_range_list(text: str, noun: str) -> list[int]:
     """Ranges and/or lists of integers: '3', '1..9', '1,3,5', '1,4..6'."""
-    values: list[int] = []
+    ranges: list[range] = []
     for token in text.split(","):
         token = token.strip()
         try:
-            if ".." in token:
-                a_str, b_str = token.split("..", 1)
-                a, b = int(a_str), int(b_str)
-                if a > b:
-                    raise ValueError
-                values.extend(range(a, b + 1))
-            else:
-                values.append(int(token))
+            a_str, dots, b_str = token.partition("..")
+            a = int(a_str)
+            b = int(b_str) if dots else a
+            if a > b:
+                raise ValueError
         except ValueError:
             raise ValueError(f"bad {noun} token {token!r} in {text!r}") from None
-    return values
+        ranges.append(range(a, b + 1))
+    if sum(r.stop - r.start for r in ranges) > MAX_RANGE_LIST:
+        raise ValueError(f"{noun} list {text!r} has more than {MAX_RANGE_LIST} values")
+    return [v for r in ranges for v in r]
 
 
 def parse_digit_spec(text: str) -> DigitSet:
@@ -110,7 +111,7 @@ def parse_cf(text: str) -> ContinuedFraction:
     try:
         if body.endswith("..."):
             word = tuple(int(t) for t in body[:-3].rstrip(",").split(","))
-            return ContinuedFraction((), primitive_root(word))
+            return ContinuedFraction((), word)
         if "(" in body:
             head, _, rest = body.partition("(")
             if not rest.endswith(")"):
@@ -118,7 +119,7 @@ def parse_cf(text: str) -> ContinuedFraction:
             period = tuple(int(t) for t in rest[:-1].split(","))
             head = head.rstrip(",")
             preperiod = tuple(int(t) for t in head.split(",")) if head else ()
-            return ContinuedFraction(preperiod, primitive_root(period))
+            return ContinuedFraction(preperiod, period)
         return ContinuedFraction(tuple(int(t) for t in body.split(",")))
     except ValueError:
         raise ValueError(f"cannot parse continued fraction {text!r}") from None
@@ -373,15 +374,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         payload = _render(args.command, args.format, *COMMANDS[args.command].run(args))
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, ToleranceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ToleranceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _EXIT_CODES.get(type(exc), EXIT_USAGE)  # ValueError: usage error
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)

@@ -94,8 +94,8 @@ def _solve_covering(logs: np.ndarray, target: float) -> tuple[float, float, tupl
         np.multiply(scratch, logs, out=scratch)
         return float(scratch.sum() / total)
 
-    s, _, _, bracket = bisect_newton(g, g_prime, 0.0, 1.0, residual_target=target)
-    return s, math.exp(g(s)), (float(bracket[0]), float(bracket[1]))
+    s, res, _, bracket = bisect_newton(g, g_prime, 0.0, 1.0, residual_target=target)
+    return s, math.exp(res), (float(bracket[0]), float(bracket[1]))
 
 
 def covering_root_domain(
@@ -134,6 +134,7 @@ def estimate_series(
     ``wall_time_ms`` is the time since the previous one.  The whole series is
     budget-checked against its deepest level up front so a long run cannot
     fail halfway through; ``tol`` must lie in the Moran solver's range.
+    ToleranceError: a log left float64, or the sum at s = 1 rounded to 1.
     """
     check_tolerance(tol)
     depth_list = sorted(set(int(d) for d in depths))
@@ -155,11 +156,6 @@ def estimate_series(
                     t0 = time.perf_counter()
     except (OverflowError, FloatingPointError) as exc:
         raise ToleranceError(f"covering sums leave the float64 range ({exc})") from None
-    except ValueError:  # unbracketed: g(0) = log(S^depth) > 0, so g(1) rounded
-        raise ToleranceError(
-            "the covering sum at s = 1 rounds to 1 in float64, "
-            "so [0, 1] does not bracket the root"
-        ) from None
     return estimates
 
 

@@ -76,14 +76,18 @@ def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):
     the live bracket, falling back to its midpoint) then polish until
     |h| <= residual_target.  Works unchanged over floats and mpmath floats.
 
-    Returns (root, |h(root)|, evaluations, bracket); raises ToleranceError
-    if the target is unreachable within MAX_NEWTON steps, and ValueError if
-    h(lo) > 0 > h(hi) fails.
+    Returns (root, h(root), evaluations, bracket), the residual signed.
+    Raises ToleranceError if h(lo) > 0 > h(hi) fails at working precision
+    (for an h that brackets its root exactly, only rounding can break it) or
+    if the target is unreachable within MAX_NEWTON steps.
     """
     h_lo, h_hi = h(lo), h(hi)
     iterations = 2
     if not (h_lo > 0 > h_hi):
-        raise ValueError("root not bracketed: need h(lo) > 0 > h(hi)")
+        raise ToleranceError(
+            f"h({lo}) = {h_lo} and h({hi}) = {h_hi}: an endpoint value rounds to "
+            f"zero or past it, so [{lo}, {hi}] does not bracket the root"
+        )
     while hi - lo > BISECT_WIDTH:
         mid = (lo + hi) / 2
         hm = h(mid)
@@ -93,13 +97,13 @@ def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):
         elif hm < 0:
             hi = mid
         else:
-            return mid, abs(hm), iterations, (lo, hi)
+            return mid, hm, iterations, (lo, hi)
     s = (lo + hi) / 2
-    res = h(s)
-    iterations += 1
-    for _ in range(MAX_NEWTON):
+    for _ in range(MAX_NEWTON + 1):
+        res = h(s)
+        iterations += 1
         if abs(res) <= residual_target:
-            return s, abs(res), iterations, (lo, hi)
+            return s, res, iterations, (lo, hi)
         if res > 0:
             lo = s
         else:
@@ -110,10 +114,6 @@ def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):
         if s_next == s:  # no representable progress at this precision
             break
         s = s_next
-        res = h(s)
-        iterations += 1
-    if abs(res) <= residual_target:
-        return s, abs(res), iterations, (lo, hi)
     raise ToleranceError(
         f"residual {abs(res)} still above {residual_target} after "
         f"{iterations} evaluations"
@@ -127,23 +127,16 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
     the root is always polished to |f(s) - 1| <= 2^-100, so it meets every
     accepted tol.  Monotonicity plus the endpoint values f(0) = S > 1 > f(1)
     guarantee existence and uniqueness in (0, 1).  If f(1) - 1 rounds to
-    zero at PRECISION_BITS (it is -2^-n for K = {1..n}, so n >= 129), the
-    endpoints no longer bracket the root numerically and ToleranceError is
-    raised.
+    zero at PRECISION_BITS (it is -2^-n for K = {1..n}, so n >= 129),
+    ``bisect_newton`` raises ToleranceError.
     """
     check_tolerance(tol)
     with mp.workprec(PRECISION_BITS):
-        try:
-            s, res, iters, bracket = bisect_newton(
-                lambda s: moran_function(K, s) - 1,
-                lambda s: _moran_derivative(K, s),
-                mpf(0),
-                mpf(1),
-                residual_target=mpf(2) ** -_RESIDUAL_BITS,
-            )
-        except ValueError:  # f(0) - 1 = S - 1 > 0 is exact, so f(1) - 1 rounded
-            raise ToleranceError(
-                f"f(1) - 1 rounds to zero at {PRECISION_BITS}-bit working "
-                "precision, so [0, 1] does not bracket the root"
-            ) from None
-    return MoranRoot(s=s, residual=res, iterations=iters, bracket=bracket)
+        s, res, iters, bracket = bisect_newton(
+            lambda s: moran_function(K, s) - 1,
+            lambda s: _moran_derivative(K, s),
+            mpf(0),
+            mpf(1),
+            residual_target=mpf(2) ** -_RESIDUAL_BITS,
+        )
+    return MoranRoot(s=s, residual=abs(res), iterations=iters, bracket=bracket)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import string
+import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
@@ -27,7 +28,11 @@ DECIMAL_SIGNIFICANT_DIGITS = 15
 
 
 def fraction_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
+    try:
+        return f"{fr.numerator}/{fr.denominator}"
+    except ValueError:  # the interpreter's message names a call CLI users cannot make
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"exact value too long to print (over {limit} digits)") from None
 
 
 def decimal_str(fr: Fraction, sig: int = DECIMAL_SIGNIFICANT_DIGITS) -> str:

@@ -55,11 +55,10 @@ class TestTypes:
             ContinuedFraction(())
 
     def test_period_must_be_primitive(self):
-        with pytest.raises(ValueError):
-            ContinuedFraction((), (1, 1))
-        with pytest.raises(ValueError):
-            ContinuedFraction((2,), (1, 2, 1, 2))
-        ContinuedFraction((), (1, 2))  # primitive is fine
+        # a power of a shorter word is stored as that word
+        assert ContinuedFraction((), (1, 1)).period == (1,)
+        assert ContinuedFraction((2,), (1, 2, 1, 2)) == ContinuedFraction((2,), (1, 2))
+        assert ContinuedFraction((), (1, 2)).period == (1, 2)  # primitive is kept
 
     def test_empty_preperiod_needs_period(self):
         cf = ContinuedFraction((), (3,))

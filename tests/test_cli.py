@@ -37,6 +37,13 @@ class TestParsers:
         assert parse_depth_spec("1..4") == [1, 2, 3, 4]
         assert parse_depth_spec("4,2,2") == [2, 4]
 
+    @pytest.mark.parametrize("parse", [parse_digit_spec, parse_depth_spec])
+    def test_range_list_ceiling(self, parse):
+        # a list may spell 10^6 values; one more is refused before it is built
+        assert len(parse("1..1000000")) == 10**6
+        with pytest.raises(ValueError, match="list '1..1000001' has more than"):
+            parse("1..1000001")
+
     def test_rationals(self):
         assert parse_rational("2/3") == (2, 3)
         assert parse_rational("1") == (1, 1)
@@ -337,6 +344,7 @@ def test_value_too_long_to_print_is_a_usage_error(capsys, argv, fmt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "set_int_max_str_digits" not in captured.err
 
 
 class TestOutputPlumbing:

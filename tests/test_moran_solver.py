@@ -126,7 +126,7 @@ class TestBisectNewton:
         assert iters >= 3
 
     def test_requires_bracketing(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ToleranceError, match="rounds"):
             bisect_newton(
                 lambda s: s + 1.0,
                 lambda s: 1.0,
@@ -134,6 +134,14 @@ class TestBisectNewton:
                 1.0,
                 residual_target=1e-6,
             )
+
+    def test_residual_is_signed(self):
+        # Newton's tangent on a concave h overshoots the root, so h(root) < 0
+        def h(s):
+            return 0.5 - s * s
+
+        s, res, _, _ = bisect_newton(h, lambda s: -2.0 * s, 0.0, 1.0, residual_target=1e-9)
+        assert res == h(s) < 0
 
     def test_unreachable_target_raises(self):
         with pytest.raises(ToleranceError):
