@@ -22,8 +22,9 @@ verdict and empirical take --tol, and empirical and construct take
 --budget N.  Their defaults are the library's, and the library checks them:
 the solver tolerance range and the budget are each decided in one place.  An
 option a subcommand does not read is a usage error.  Exit codes: 0 success,
-2 usage error (including a range list of over MAX_RANGE_LIST values and an
-exact value too long to print), 3 budget exceeded, 4 tolerance failure.
+2 usage error (including a range list over MAX_RANGE_LIST values, a digit
+sum over MAX_DIGIT_SUM, refused before any exact value is built, and an exact
+value too long to print), 3 budget exceeded, 4 tolerance failure.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from . import __version__, dim_bounds, empirical_dim, moran_solver
+from . import __version__, cf_core, dim_bounds, empirical_dim, moran_solver
 from .cf_core import (
     DEFAULT_BUDGET,
     ContinuedFraction,
@@ -54,6 +55,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_TOLERANCE = 4
 MAX_RANGE_LIST = 10**6  # values a range list may spell, checked before any is built
+MAX_DIGIT_SUM = 10**5  # exact values over a word have denominators near 2^(digit sum)
 _EXIT_CODES = {BudgetExceededError: EXIT_BUDGET, ToleranceError: EXIT_TOLERANCE}
 
 
@@ -172,6 +174,8 @@ def _eval(args) -> Records:
     else:
         cf = parse_cf(args.cf)
         config = {"cf": args.cf}
+    if (total := sum(cf.preperiod) + 2 * sum(cf.period)) > MAX_DIGIT_SUM:  # a period counts twice
+        raise ValueError(f"exact value too large: digit sum {total} exceeds {MAX_DIGIT_SUM}")
     value = minkowski_finite(cf) if cf.is_finite else minkowski_periodic(cf)
     result = {"continued_fraction": str(cf), "value": value}
     return config, result, [result]
@@ -195,6 +199,9 @@ def _empirical(args) -> Records:
 
 def _construct(args) -> Records:
     K = parse_digit_spec(args.digits)
+    cf_core.check_budget(K, args.depth, args.budget)  # exit 3 before the digit-sum check
+    if (total := K.digits[-1] * (args.depth + 2)) > MAX_DIGIT_SUM:  # + the hull's period
+        raise ValueError(f"exact values too large: digit sum {total} exceeds {MAX_DIGIT_SUM}")
     rows = [
         {
             "word": cyl.word,

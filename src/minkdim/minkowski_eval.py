@@ -17,8 +17,6 @@ bit-exactly.
 
 from __future__ import annotations
 
-import math
-import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -70,13 +68,8 @@ def _word_value(word: Sequence[int]) -> DyadicRational:
 
     With partial digit sums A_m, the value is
     sum_m (-1)^(m-1) 2^(1-A_m) = [sum_m (-1)^(m-1) 2^(1+A_n-A_m)] / 2^A_n.
-    Raises ValueError before building anything if 2^A_n has more decimal
-    digits than ``sys.get_int_max_str_digits()`` (0: no limit) can print.
     """
     total = sum(word)
-    limit = sys.get_int_max_str_digits()
-    if limit and total * math.log10(2) >= limit:
-        raise ValueError(f"digit sum {total} too large: 2^{total} has over {limit} digits")
     mantissa = 0
     running = 0
     for i, a in enumerate(word):

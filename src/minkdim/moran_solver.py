@@ -84,9 +84,10 @@ def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):
     h_lo, h_hi = h(lo), h(hi)
     iterations = 2
     if not (h_lo > 0 > h_hi):
+        prec = mp.prec if isinstance(h_lo, mpf) else 53  # mpf, or float64
         raise ToleranceError(
-            f"h({lo}) = {h_lo} and h({hi}) = {h_hi}: an endpoint value rounds to "
-            f"zero or past it, so [{lo}, {hi}] does not bracket the root"
+            f"h({lo}) = {h_lo} and h({hi}) = {h_hi} at {prec}-bit precision: an endpoint "
+            f"value rounds to zero or past it, so [{lo}, {hi}] does not bracket the root"
         )
     while hi - lo > BISECT_WIDTH:
         mid = (lo + hi) / 2

@@ -11,6 +11,7 @@ from minkdim.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_USAGE,
+    MAX_DIGIT_SUM,
     main,
     parse_cf,
     parse_depth_spec,
@@ -345,6 +346,26 @@ def test_value_too_long_to_print_is_a_usage_error(capsys, argv, fmt):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert "set_int_max_str_digits" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, total",
+    [
+        (["eval", "--cf", "0;100001"], 100001),
+        (["eval", "--cf", "0;1,(50000)"], 100001),  # a period counts twice
+        (["eval", "--rational", "1/100001"], 100001),
+        (["construct", "--digits", "1,25001", "--depth", "2"], 100004),  # + the hull's period
+        (["construct", "--digits", "1,10000000000", "--depth", "0"], 20000000000),
+    ],
+)
+def test_digit_sum_ceiling_is_a_usage_error(capsys, argv, total):
+    """A digit sum over MAX_DIGIT_SUM exits 2 before any exact value is built."""
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"digit sum {total} exceeds {MAX_DIGIT_SUM}\n" in err
+    # the ceiling itself is admitted, and then too long to print
+    assert main(["eval", "--cf", f"0;{MAX_DIGIT_SUM}"]) == EXIT_USAGE
+    assert "too long to print" in capsys.readouterr().err
 
 
 class TestOutputPlumbing:

@@ -8,7 +8,6 @@ continuation), both independent of the dyadic fast path under test.
 import copy
 import pickle
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -129,21 +128,10 @@ class TestFinite:
         with pytest.raises(ValueError):
             minkowski_finite(ContinuedFraction((), (2,)))
 
-    def test_digit_sum_past_int_str_limit_rejected(self):
-        # 2^14284 has 4,300 decimal digits and 2^14285 has 4,301; 0 means no limit
-        limit = sys.get_int_max_str_digits()
-        try:
-            sys.set_int_max_str_digits(4300)
-            assert minkowski_finite(ContinuedFraction((14284,))) == DyadicRational(1, 14283)
-            for cf in (ContinuedFraction((14285,)), ContinuedFraction((20000,))):
-                with pytest.raises(ValueError, match="digit sum"):
-                    minkowski_finite(cf)
-            with pytest.raises(ValueError, match="digit sum"):
-                minkowski_periodic(ContinuedFraction((), (1, 20000)))
-            sys.set_int_max_str_digits(0)
-            assert minkowski_finite(ContinuedFraction((20000,))) == DyadicRational(1, 19999)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    def test_large_digit_sum_is_exact(self):
+        # the library has no digit-sum ceiling; only the CLI refuses large inputs
+        assert minkowski_finite(ContinuedFraction((20000,))) == DyadicRational(1, 19999)
+        assert minkowski_periodic(ContinuedFraction((), (20000,))) == Fraction(2, 2**20000 + 1)
 
     def test_well_definedness_exhaustive(self):
         # both expansions of every rational with q <= 100 give the same value
