@@ -70,10 +70,9 @@ class ContinuedFraction:
 
     @property
     def is_canonical(self) -> bool:
-        """True when finite words end with a digit >= 2 ([0; 1] excepted)."""
-        if not self.is_finite:
-            return True
-        return self.preperiod == (1,) or self.preperiod[-1] >= 2
+        """False only for a finite word of two or more digits ending in 1."""
+        d = self.preperiod
+        return not self.is_finite or d == (1,) or d[-1] >= 2
 
     def digits(self, n: int) -> tuple[int, ...]:
         """The first n digits, unrolling the period as far as needed."""
@@ -100,21 +99,19 @@ class ContinuedFraction:
 
 @dataclass(frozen=True)
 class DigitSet:
-    """A sorted tuple {k1 < k2 < ... < kS} of allowed digits, S >= 2."""
+    """Allowed digits {k1 < ... < kS}, S >= 2, none repeated.
+
+    Takes the digits in any order, stored sorted.
+    """
 
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", _checked_digits(self.digits))
+        object.__setattr__(self, "digits", tuple(sorted(_checked_digits(self.digits))))
         if len(self.digits) < 2:
             raise ValueError("a digit set needs at least two digits")
-        if any(a >= b for a, b in zip(self.digits, self.digits[1:])):
-            raise ValueError("digits must be distinct and strictly increasing")
-
-    @classmethod
-    def from_digits(cls, digits) -> "DigitSet":
-        """Build from any iterable; sorts, but duplicates are rejected."""
-        return cls(tuple(sorted(digits)))
+        if len(set(self.digits)) < len(self.digits):
+            raise ValueError("digits must be distinct")
 
     @property
     def size(self) -> int:
@@ -188,28 +185,29 @@ def cf_value(cf: ContinuedFraction) -> Fraction:
 def canonicalize(cf: ContinuedFraction) -> ContinuedFraction:
     """Canonical representative of a finite word: fold a trailing 1.
 
-    [0; ..., a, 1] and [0; ..., a+1] name the same rational; the stored form
-    ends with a digit >= 2 ([0; 1] is the sole exception).
+    [0; ..., a, 1] and [0; ..., a+1] name the same rational.  A word that is
+    already canonical (``ContinuedFraction.is_canonical``) is returned as is.
     """
     if not cf.is_finite:
         raise ValueError("only finite continued fractions are canonicalized")
+    if cf.is_canonical:
+        return cf
     d = cf.preperiod
-    if len(d) > 1 and d[-1] == 1:
-        d = d[:-2] + (d[-2] + 1,)
-    return ContinuedFraction(d)
+    return ContinuedFraction(d[:-2] + (d[-2] + 1,))
 
 
 def alternate_form(cf: ContinuedFraction) -> ContinuedFraction:
     """The other digit word with the same value ([0; ..., a] <-> [0; ..., a-1, 1]).
 
-    Every rational in (0, 1) has exactly two expansions; 1 = [0; 1] has one,
-    and asking for its alternate raises ValueError.
+    Every rational in (0, 1) has exactly two expansions: the alternate of a
+    non-canonical word is its ``canonicalize`` form.  1 = [0; 1] has one, and
+    asking for its alternate raises ValueError.
     """
     if not cf.is_finite:
         raise ValueError("only finite continued fractions have an alternate form")
-    d = cf.preperiod
-    if len(d) > 1 and d[-1] == 1:
+    if not cf.is_canonical:
         return canonicalize(cf)
+    d = cf.preperiod
     if d == (1,):
         raise ValueError("[0; 1] is the only expansion of 1")
     return ContinuedFraction(d[:-1] + (d[-1] - 1, 1))

@@ -42,7 +42,7 @@ from .cf_core import (
     DigitSet,
     cf_from_rational,
 )
-from .dim_bounds import BoundsInterval, jarnik_bounds, preservation_verdict
+from .dim_bounds import jarnik_bounds, preservation_verdict
 from .empirical_dim import Side, estimate_series, successive_differences
 from .errors import BudgetExceededError, ToleranceError
 from .minkowski_eval import minkowski_finite, minkowski_periodic
@@ -80,7 +80,7 @@ def _parse_range_list(text: str, noun: str) -> list[int]:
 
 def parse_digit_spec(text: str) -> DigitSet:
     """Digit sets as range lists; a repeated digit is rejected."""
-    return DigitSet.from_digits(_parse_range_list(text, "digit"))
+    return DigitSet(_parse_range_list(text, "digit"))
 
 
 def parse_depth_spec(text: str) -> list[int]:
@@ -137,10 +137,6 @@ def _root_record(root: MoranRoot) -> dict[str, Any]:
     }
 
 
-def _bounds_record(bounds: BoundsInterval) -> dict[str, Any]:
-    return {"n": bounds.n, "lower": bounds.lower, "upper": bounds.upper}
-
-
 Records = tuple[dict[str, Any], dict[str, Any], list[dict[str, Any]]]
 
 
@@ -152,17 +148,13 @@ def _moran(args) -> Records:
 
 
 def _bounds(args) -> Records:
-    bounds = _bounds_record(jarnik_bounds(args.n))
+    bounds = asdict(jarnik_bounds(args.n))
     return {"n": args.n}, {"bounds": bounds}, [bounds]
 
 
 def _verdict(args) -> Records:
     v = preservation_verdict(args.n, args.tol)
-    verdict = {
-        **vars(v),
-        "bounds": _bounds_record(v.bounds),
-        "image_dimension": _root_record(v.image_dimension),
-    }
+    verdict = {**asdict(v), "image_dimension": _root_record(v.image_dimension)}
     return {"n": args.n, "tol": args.tol}, {"verdict": verdict}, [verdict]
 
 

@@ -34,9 +34,9 @@ class Preservation(Enum):
 class BoundsInterval:
     """Certified dimension bounds for digit ceiling n."""
 
+    n: int
     lower: float
     upper: float
-    n: int
 
     def __post_init__(self):
         if self.n <= 8:
@@ -71,7 +71,7 @@ def jarnik_bounds(n: int) -> BoundsInterval:
         raise ValueError(f"bounds require n > 8, got n={n}")
     lower = 1.0 - 1.0 / (n * math.log10(2.0))
     upper = 1.0 - 1.0 / (8.0 * n * math.log10(n))
-    return BoundsInterval(lower=lower, upper=upper, n=n)
+    return BoundsInterval(n=n, lower=lower, upper=upper)
 
 
 def preservation_verdict(n: int, tol: float = DEFAULT_TOLERANCE) -> PreservationVerdict:

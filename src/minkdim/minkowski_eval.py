@@ -7,12 +7,12 @@ dyadic series
 
 It maps (0, 1] onto (0, 1] monotonically, sending rationals (finite words) to
 dyadic rationals m/2^e and eventually periodic expansions to rationals.
-Evaluation here is exact: finite words give a `fractions.Fraction` whose
-denominator is a power of two (a `DyadicRational`), periodic expansions give
-a `Fraction` via closed-form geometric summation, and digit prefixes give
-certified `cf_core.RationalInterval` enclosures from the alternating-series
-bracket.  Floating point never enters; the sup/inf identities downstream hold
-bit-exactly.
+Evaluation here is exact: finite words give a `DyadicRational` (a
+`fractions.Fraction` that checks its denominator is a power of two),
+periodic expansions give a `Fraction` via closed-form geometric summation,
+and digit prefixes give certified `cf_core.RationalInterval` enclosures from
+the alternating-series bracket.  Floating point never enters; the sup/inf
+identities downstream hold bit-exactly.
 """
 
 from __future__ import annotations
@@ -24,18 +24,21 @@ from .cf_core import ContinuedFraction, RationalInterval, _checked_digits
 
 
 class DyadicRational(Fraction):
-    """The Fraction mantissa / 2^exponent, built from exponent >= 0.
+    """A Fraction whose reduced denominator is a power of two.
 
-    ``mantissa`` and ``exponent`` read the reduced form: an odd mantissa, or
-    zero over 2^0.  Arithmetic returns plain Fractions.
+    Takes Fraction's own arguments, so DyadicRational(3, 4) is 3/4, and
+    raises ValueError on any other denominator.  ``mantissa`` and
+    ``exponent`` read the reduced form m/2^e: an odd mantissa, or zero over
+    2^0.  Arithmetic returns plain Fractions.
     """
 
     __slots__ = ()
 
-    def __new__(cls, mantissa: int, exponent: int = 0):
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return super().__new__(cls, mantissa, 1 << exponent)
+    def __new__(cls, numerator=0, denominator=None):
+        self = super().__new__(cls, numerator, denominator)
+        if self.denominator & (self.denominator - 1):
+            raise ValueError("a dyadic rational needs a power-of-two denominator")
+        return self
 
     @property
     def mantissa(self) -> int:
@@ -47,20 +50,6 @@ class DyadicRational(Fraction):
 
     def as_fraction(self) -> Fraction:
         return Fraction(self)
-
-    # Fraction rebuilds copies as cls(numerator, denominator), which this
-    # constructor would read as numerator / 2^denominator
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.mantissa}, {self.exponent})"
-
-    def __reduce__(self):
-        return type(self), (self.mantissa, self.exponent)
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
 
 def _word_value(word: Sequence[int]) -> DyadicRational:
@@ -76,7 +65,7 @@ def _word_value(word: Sequence[int]) -> DyadicRational:
         running += a
         term = 1 << (1 + total - running)
         mantissa += -term if i % 2 else term
-    return DyadicRational(mantissa, total)
+    return DyadicRational(mantissa, 1 << total)
 
 
 def _tail_hull(word: tuple[int, ...], lo: Fraction, hi: Fraction) -> RationalInterval:

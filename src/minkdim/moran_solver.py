@@ -64,9 +64,9 @@ def moran_function(K: DigitSet, s) -> mpf:
 
 
 def _moran_derivative(K: DigitSet, s) -> mpf:
-    with mp.workprec(PRECISION_BITS):
-        sv = mpf(s)
-        return -mp.ln2 * mp.fsum(k * mpf(2) ** (-k * sv) for k in K.digits)
+    """f'(s), at the caller's precision: moran_root sets PRECISION_BITS."""
+    sv = mpf(s)
+    return -mp.ln2 * mp.fsum(k * mpf(2) ** (-k * sv) for k in K.digits)
 
 
 def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):

@@ -35,10 +35,10 @@ def fraction_str(fr: Fraction) -> str:
         raise ValueError(f"exact value too long to print (over {limit} digits)") from None
 
 
-def decimal_str(fr: Fraction, sig: int = DECIMAL_SIGNIFICANT_DIGITS) -> str:
-    """Decimal rendering of an exact rational at sig significant digits."""
+def decimal_str(fr: Fraction) -> str:
+    """Decimal rendering of an exact rational at DECIMAL_SIGNIFICANT_DIGITS."""
     with localcontext() as ctx:
-        ctx.prec = sig
+        ctx.prec = DECIMAL_SIGNIFICANT_DIGITS
         ctx.rounding = ROUND_HALF_EVEN
         return str(Decimal(fr.numerator) / Decimal(fr.denominator))
 

@@ -72,6 +72,8 @@ class TestTypes:
         assert finite.digits(1) == (2,)
         with pytest.raises(ValueError):
             finite.digits(3)
+        with pytest.raises(ValueError):
+            finite.digits(-1)
 
     def test_str_forms(self):
         assert str(ContinuedFraction((2, 3))) == "[0; 2, 3]"
@@ -81,10 +83,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             DigitSet((3,))  # S >= 2 required
         with pytest.raises(ValueError):
-            DigitSet((2, 1))  # unsorted
+            DigitSet((1, 1))  # duplicates
         with pytest.raises(ValueError):
-            DigitSet.from_digits([1, 1])  # duplicates
-        K = DigitSet.from_digits([9, 1, 4])
+            DigitSet([4, 9, 4])
+        assert DigitSet((2, 1)) == DigitSet((1, 2))  # stored sorted
+        K = DigitSet((9, 1, 4))
         assert K.digits == (1, 4, 9)
         assert K.size == 3
         assert 4 in K and 5 not in K
@@ -152,6 +155,13 @@ class TestCanonicalize:
         assert canonicalize(ContinuedFraction((1, 1))).preperiod == (2,)
         assert canonicalize(ContinuedFraction((2,))).preperiod == (2,)
         assert canonicalize(ContinuedFraction((2, 1))).preperiod == (3,)
+        assert alternate_form(ContinuedFraction((2, 1))).preperiod == (3,)
+        periodic = ContinuedFraction((2, 1), (1,))
+        assert periodic.is_canonical
+        with pytest.raises(ValueError):
+            canonicalize(periodic)
+        with pytest.raises(ValueError):
+            alternate_form(periodic)
 
     def test_value_preserved(self):
         rng = random.Random(7)
