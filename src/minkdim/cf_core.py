@@ -16,6 +16,7 @@ long as consumers reduce with an order-independent operation.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -33,6 +34,12 @@ def _checked_digits(digits: Sequence[int]) -> tuple[int, ...]:
         if d < 1:
             raise ValueError(f"partial quotients must be >= 1, got {d}")
     return out
+
+
+def _checked_prefix(prefix: Sequence[int]) -> tuple[int, ...]:
+    if not (word := _checked_digits(prefix)):
+        raise ValueError("prefix must be nonempty")
+    return word
 
 
 def primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -117,9 +124,6 @@ class DigitSet:
     def size(self) -> int:
         return len(self.digits)
 
-    def __iter__(self):
-        return iter(self.digits)
-
     def __len__(self) -> int:
         return len(self.digits)
 
@@ -178,7 +182,7 @@ def cf_value(cf: ContinuedFraction) -> Fraction:
     """Exact value of a finite continued fraction."""
     if not cf.is_finite:
         raise ValueError("value of a periodic continued fraction is irrational")
-    _, _, p, q = _convergent_state(cf.preperiod)
+    _, _, p, q = deque(_convergent_states(cf.preperiod), maxlen=1).pop()
     return Fraction(p, q)
 
 
@@ -222,19 +226,15 @@ def convergents(cf: ContinuedFraction, n: int) -> list[tuple[int, int]]:
     """
     if n < 1:
         raise ValueError("need at least one convergent")
-    pm1, qm1, p, q = 1, 0, 0, 1
-    out = []
-    for a in cf.digits(n):
-        pm1, qm1, p, q = p, q, a * p + pm1, a * q + qm1
-        out.append((p, q))
-    return out
+    return [(p, q) for _, _, p, q in _convergent_states(cf.digits(n))]
 
 
-def _convergent_state(word: Sequence[int]) -> tuple[int, int, int, int]:
+def _convergent_states(word: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(p_{i-1}, q_{i-1}, p_i, q_i) after each digit of ``word``."""
     pm1, qm1, p, q = 1, 0, 0, 1
     for a in word:
         pm1, qm1, p, q = p, q, a * p + pm1, a * q + qm1
-    return pm1, qm1, p, q
+        yield pm1, qm1, p, q
 
 
 def cylinder_interval(prefix: Sequence[int]) -> RationalInterval:
@@ -243,10 +243,7 @@ def cylinder_interval(prefix: Sequence[int]) -> RationalInterval:
     Endpoints are p_n/q_n and (p_n + p_{n-1})/(q_n + q_{n-1}); the length is
     exactly 1/(q_n (q_n + q_{n-1})).
     """
-    word = _checked_digits(prefix)
-    if not word:
-        raise ValueError("prefix must be nonempty")
-    pm1, qm1, p, q = _convergent_state(word)
+    pm1, qm1, p, q = deque(_convergent_states(_checked_prefix(prefix)), maxlen=1).pop()
     a = Fraction(p, q)
     b = Fraction(p + pm1, q + qm1)
     return RationalInterval(min(a, b), max(a, b))

@@ -69,6 +69,8 @@ def jarnik_bounds(n: int) -> BoundsInterval:
     """Dimension bounds (1 - 1/(n lg 2), 1 - 1/(8 n lg n)) for n > 8."""
     if n <= 8:
         raise ValueError(f"bounds require n > 8, got n={n}")
+    if n >= 2**53:  # n * log10(2.0) would overflow or round n
+        raise ValueError("bounds require n < 2^53, the float64 range of exact integers")
     lower = 1.0 - 1.0 / (n * math.log10(2.0))
     upper = 1.0 - 1.0 / (8.0 * n * math.log10(n))
     return BoundsInterval(n=n, lower=lower, upper=upper)

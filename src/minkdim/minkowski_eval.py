@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .cf_core import ContinuedFraction, RationalInterval, _checked_digits
+from .cf_core import ContinuedFraction, RationalInterval, _checked_prefix
 
 
 class DyadicRational(Fraction):
@@ -100,10 +100,7 @@ def minkowski_enclosure(prefix: Sequence[int]) -> RationalInterval:
     S_n + (-1)^n 2^-(a1+...+an): the tail hull with tails in [0, 1].
     Length is exactly 2^-(a1+...+an) > 0.
     """
-    word = _checked_digits(prefix)
-    if not word:
-        raise ValueError("prefix must be nonempty")
-    return _tail_hull(word, Fraction(0), Fraction(1))
+    return _tail_hull(_checked_prefix(prefix), Fraction(0), Fraction(1))
 
 
 def minkowski_periodic(cf: ContinuedFraction) -> Fraction:

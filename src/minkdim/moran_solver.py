@@ -72,9 +72,10 @@ def _moran_derivative(K: DigitSet, s) -> mpf:
 def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):
     """Root of a strictly decreasing h on [lo, hi] with h(lo) > 0 > h(hi).
 
-    Bisection narrows the bracket to BISECT_WIDTH; Newton steps (clamped to
-    the live bracket, falling back to its midpoint) then polish until
-    |h| <= residual_target.  Works unchanged over floats and mpmath floats.
+    One loop evaluates h, stops as soon as |h| <= residual_target, narrows
+    the bracket and steps: to the bracket's midpoint until it is BISECT_WIDTH
+    wide, then by Newton (clamped to the live bracket, falling back to its
+    midpoint).  Works unchanged over floats and mpmath floats.
 
     Returns (root, h(root), evaluations, bracket), the residual signed.
     Raises ToleranceError if h(lo) > 0 > h(hi) fails at working precision
@@ -89,27 +90,19 @@ def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):
             f"h({lo}) = {h_lo} and h({hi}) = {h_hi} at {prec}-bit precision: an endpoint "
             f"value rounds to zero or past it, so [{lo}, {hi}] does not bracket the root"
         )
-    while hi - lo > BISECT_WIDTH:
-        mid = (lo + hi) / 2
-        hm = h(mid)
-        iterations += 1
-        if hm > 0:
-            lo = mid
-        elif hm < 0:
-            hi = mid
-        else:
-            return mid, hm, iterations, (lo, hi)
-    s = (lo + hi) / 2
-    for _ in range(MAX_NEWTON + 1):
+    s, newton_steps = (lo + hi) / 2, 0
+    while newton_steps <= MAX_NEWTON:
         res = h(s)
         iterations += 1
         if abs(res) <= residual_target:
             return s, res, iterations, (lo, hi)
+        wide = hi - lo > BISECT_WIDTH  # judged before this evaluation narrows it
         if res > 0:
             lo = s
         else:
             hi = s
-        s_next = s - res / h_prime(s)
+        newton_steps += not wide
+        s_next = (lo + hi) / 2 if wide else s - res / h_prime(s)
         if not (lo < s_next < hi):
             s_next = (lo + hi) / 2
         if s_next == s:  # no representable progress at this precision

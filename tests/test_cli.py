@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from minkdim import DigitSet, Side, estimate_series
+from minkdim import DigitSet, Side, cli, estimate_series
 from minkdim.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_USAGE,
     MAX_DIGIT_SUM,
+    MAX_RANGE_LIST,
     main,
     parse_cf,
     parse_depth_spec,
@@ -59,6 +60,8 @@ class TestParsers:
         assert (cf.preperiod, cf.period) == ((2,), (1, 2))
         cf = parse_cf("[0; 1, 2, 1, 2, ...]")
         assert (cf.preperiod, cf.period) == ((), (1, 2))
+        assert parse_cf("0;1,2,...") == parse_cf("0;(1,2)")
+        assert parse_cf("0;3,...") == parse_cf("0;(3)")
         for text in ("1;2", "0;", "0;2,(1,2", "0;x"):
             with pytest.raises(ValueError):
                 parse_cf(text)
@@ -109,6 +112,13 @@ class TestBoundsCommand:
         assert main(["bounds", "--n", "8"]) == EXIT_USAGE
         assert "n > 8" in capsys.readouterr().err
 
+    def test_n_past_float_range_rejected(self, capsys):
+        assert main(["bounds", "--n", str(10**400)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert len(captured.err) < 200
+
 
 class TestVerdictCommand:
     def test_headline(self, capsys):
@@ -142,6 +152,20 @@ class TestVerdictCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("n", [10**400, MAX_RANGE_LIST + 1], ids=["10**400", "ceiling+1"])
+    def test_n_over_range_list_ceiling_rejected(self, capsys, monkeypatch, n):
+        """Refused before {1..n} is built: the verdict is never computed."""
+
+        def unreachable(*args):
+            pytest.fail("preservation_verdict was called")
+
+        monkeypatch.setattr(cli, "preservation_verdict", unreachable)
+        assert main(["verdict", "--n", str(n)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert len(captured.err) < 200
 
 
 class TestEvalCommand:

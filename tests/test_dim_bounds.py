@@ -34,6 +34,10 @@ class TestBounds:
             with pytest.raises(ValueError):
                 jarnik_bounds(n)
 
+    def test_n_past_float_range_rejected(self):
+        with pytest.raises(ValueError, match=r"2\^53"):
+            jarnik_bounds(10**400)
+
     def test_ordering_and_monotonicity(self):
         prev = None
         for n in range(9, 201):

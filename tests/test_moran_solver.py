@@ -125,6 +125,12 @@ class TestBisectNewton:
         assert bracket[0] < s < bracket[1] or s in bracket
         assert iters >= 3
 
+    def test_exact_zero_at_midpoint(self):
+        result = bisect_newton(
+            lambda s: 0.5 - s, lambda s: -1.0, 0.0, 1.0, residual_target=1e-12
+        )
+        assert result == (0.5, 0.0, 3, (0.0, 1.0))
+
     def test_requires_bracketing(self):
         with pytest.raises(ToleranceError, match="rounds"):
             bisect_newton(
