@@ -22,10 +22,10 @@ verdict and empirical take --tol, and empirical and construct take
 --budget N.  Their defaults are the library's, and the library checks them:
 the solver tolerance range and the budget are each decided in one place.  An
 option a subcommand does not read is a usage error.  Exit codes: 0 success,
-2 usage error (including a range list or a verdict n over MAX_RANGE_LIST, a
-bounds n of 2^53 or more, a digit sum over MAX_DIGIT_SUM, refused before any
-exact value is built, and an exact value too long to print), 3 budget
-exceeded, 4 tolerance failure.
+2 usage error (including a range list over MAX_RANGE_LIST values and a digit
+sum over MAX_DIGIT_SUM, both refused before any exact value is built, a
+bounds or verdict n whose float64 upper bound rounds to 1, and an exact value
+too long to print), 3 budget exceeded, 4 tolerance failure.
 """
 
 from __future__ import annotations
@@ -153,8 +153,6 @@ def _bounds(args) -> Records:
 
 
 def _verdict(args) -> Records:
-    if args.n > MAX_RANGE_LIST:  # {1..n} would spell more values than a range list may
-        raise ValueError(f"verdict requires n <= {MAX_RANGE_LIST}")
     v = preservation_verdict(args.n, args.tol)
     verdict = {**asdict(v), "image_dimension": _root_record(v.image_dimension)}
     return {"n": args.n, "tol": args.tol}, {"verdict": verdict}, [verdict]

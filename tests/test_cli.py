@@ -5,14 +5,13 @@ import random
 
 import pytest
 
-from minkdim import DigitSet, Side, cli, estimate_series
+from minkdim import DigitSet, Side, estimate_series
 from minkdim.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_USAGE,
     MAX_DIGIT_SUM,
-    MAX_RANGE_LIST,
     main,
     parse_cf,
     parse_depth_spec,
@@ -113,11 +112,12 @@ class TestBoundsCommand:
         assert "n > 8" in capsys.readouterr().err
 
     def test_n_past_float_range_rejected(self, capsys):
-        assert main(["bounds", "--n", str(10**400)]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
-        assert len(captured.err) < 200
+        for n in (10**400, 160_000_000_000_000):  # 158574835522566 is the last n accepted
+            assert main(["bounds", "--n", str(n)]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+            assert "158574835522566" in captured.err and len(captured.err) < 200
 
 
 class TestVerdictCommand:
@@ -145,27 +145,29 @@ class TestVerdictCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["verdict"]["preserved"] == "not_preserved"
 
-    def test_unbracketed_root_is_a_tolerance_failure(self, capsys):
-        # f(1) - 1 = -2^-129 rounds to zero at the solver's 128 bits
-        assert main(["verdict", "--n", "129"]) == EXIT_TOLERANCE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("error: ")
+    @pytest.mark.parametrize(
+        "argv, preserved",
+        [
+            (["--n", "129"], "not_preserved"),  # f(1) - 1 = -2^-129: past 128 bits
+            (["--n", "20000"], "not_preserved"),
+            (["--n", "10000000000000", "--tol", "1e-17"], "not_preserved"),
+            (["--n", "30000"], "inconclusive"),  # gap ~ 1/(8 n lg n) < the default tol
+        ],
+        ids=["129", "20000", "10**13", "30000"],
+    )
+    def test_large_n_answers(self, capsys, argv, preserved):
+        assert main(["verdict", *argv, "--format", "json"]) == EXIT_OK
+        v = json.loads(capsys.readouterr().out)["result"]["verdict"]
+        assert v["preserved"] == preserved
+        assert (v["gap"] > v["tol"]) == (preserved == "not_preserved")
 
-    @pytest.mark.parametrize("n", [10**400, MAX_RANGE_LIST + 1], ids=["10**400", "ceiling+1"])
-    def test_n_over_range_list_ceiling_rejected(self, capsys, monkeypatch, n):
-        """Refused before {1..n} is built: the verdict is never computed."""
-
-        def unreachable(*args):
-            pytest.fail("preservation_verdict was called")
-
-        monkeypatch.setattr(cli, "preservation_verdict", unreachable)
+    @pytest.mark.parametrize("n", [10**400, 160_000_000_000_000], ids=["10**400", "1.6e14"])
+    def test_n_past_bounds_limit_rejected(self, capsys, n):
         assert main(["verdict", "--n", str(n)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
-        assert len(captured.err) < 200
+        assert "158574835522566" in captured.err and len(captured.err) < 200
 
 
 class TestEvalCommand:

@@ -3,7 +3,8 @@ return or raise ValueError, on generated input.
 
 Generated integers reach 10^12 and ranges 10^11 elements, far past the digit
 sums and list lengths the package builds: those inputs must be refused
-before anything is built.
+before anything is built.  A digit ceiling n reaches 10^20, past the last n
+that bounds and verdict accept.
 """
 
 import contextlib
@@ -45,6 +46,12 @@ def rationals(draw) -> str:
 @given(rationals(), st.sampled_from(["text", "json", "csv"]))
 def test_eval_rational_exits_0_or_2(text, fmt):
     assert run(["eval", "--rational", text, "--format", fmt]) in (EXIT_OK, EXIT_USAGE)
+
+
+@fuzz
+@given(st.sampled_from(["bounds", "verdict"]), st.integers(-(10**3), 10**20))
+def test_digit_ceiling_exits_0_or_2(command, n):
+    assert run([command, "--n", str(n)]) in (EXIT_OK, EXIT_USAGE)
 
 
 digit_tokens = st.integers(1, MAX_INT).map(str)

@@ -8,11 +8,14 @@ The printed reference endpoints for n = 9 are 0.6308969 and 0.985445112
 import math
 
 import pytest
+from mpmath import mp, mpf
 
 from minkdim import (
     BoundsInterval,
+    DigitSet,
     Preservation,
     jarnik_bounds,
+    moran_root,
     preservation_verdict,
 )
 
@@ -35,8 +38,11 @@ class TestBounds:
                 jarnik_bounds(n)
 
     def test_n_past_float_range_rejected(self):
-        with pytest.raises(ValueError, match=r"2\^53"):
-            jarnik_bounds(10**400)
+        # the last n whose float64 upper bound 1 - 1/(8 n lg n) is below 1
+        assert jarnik_bounds(158574835522566).upper < 1.0
+        for n in (158574835522567, 10**400):
+            with pytest.raises(ValueError, match="n <= 158574835522566"):
+                jarnik_bounds(n)
 
     def test_ordering_and_monotonicity(self):
         prev = None
@@ -94,3 +100,39 @@ class TestVerdict:
     def test_small_n_propagates(self):
         with pytest.raises(ValueError):
             preservation_verdict(8)
+
+
+def moran_sum(n: int, s) -> mpf:
+    """sum_{k<=n} 2^(-k s) at the caller's precision."""
+    return mp.fsum(mpf(2) ** (-k * mpf(s)) for k in range(1, n + 1))
+
+
+class TestClosedForm:
+    """preservation_verdict's Moran root of {1..n}, taken from its fixed point."""
+
+    def test_equals_general_solver(self):
+        # moran_root polishes only to |f(s) - 1| <= 2^-100 (n = 10 stops at
+        # 3.8e-31) and |f'| > 1 near s = 1, so the two agree within 2^-100
+        for n in range(9, 129):
+            want = moran_root(DigitSet(range(1, n + 1))).s
+            got = preservation_verdict(n).image_dimension.s
+            with mp.workprec(256):
+                assert abs(got - want) <= mpf(2) ** -100, n
+
+    def test_certified_at_256_bits(self):
+        # from n = 129 on, f(1) - 1 = -2^-n is out of reach of the general solver
+        with mp.workprec(256):
+            for n in range(9, 256):
+                root = preservation_verdict(n).image_dimension
+                lo, hi = root.bracket
+                assert moran_sum(n, lo) > 1 > moran_sum(n, hi), n
+                assert lo <= root.s <= hi, n
+                assert abs(moran_sum(n, root.s) - 1) <= mpf(2) ** -120, n
+                assert root.residual <= mpf(2) ** -120, n
+
+    def test_large_n_gap_in_extended_precision(self):
+        # s rounds to 1 long before n = 10^13, so the gap comes from 1 - s
+        v = preservation_verdict(10**13, tol=1e-17)
+        assert v.preserved is Preservation.NOT_PRESERVED
+        want = 1 / (8e13 * 13)
+        assert abs(v.gap - want) <= 1e-15 * want
