@@ -10,8 +10,7 @@ this package.
 
 Everything here is exact: digits are ints, values are `fractions.Fraction`,
 and no floating point appears.  All values are immutable and safe to share
-across threads; cylinder enumeration may be partitioned by leading digit as
-long as consumers reduce with an order-independent operation.
+across threads.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ option a subcommand does not read is a usage error.  Exit codes: 0 success,
 2 usage error (including a range list over MAX_RANGE_LIST values and a digit
 sum over MAX_DIGIT_SUM, both refused before any exact value is built, a
 bounds or verdict n whose float64 upper bound rounds to 1, and an exact value
-too long to print), 3 budget exceeded, 4 tolerance failure.
+past a lowered int-to-str limit), 3 budget exceeded, 4 tolerance failure.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_TOLERANCE = 4
 MAX_RANGE_LIST = 10**6  # values a range list may spell, checked before any is built
-MAX_DIGIT_SUM = 10**5  # exact values over a word have denominators near 2^(digit sum)
+MAX_DIGIT_SUM = 14_284  # printed values are <= 2^(digit sum); 2^14284 has 4,300 digits
 _EXIT_CODES = {BudgetExceededError: EXIT_BUDGET, ToleranceError: EXIT_TOLERANCE}
 
 

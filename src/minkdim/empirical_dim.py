@@ -134,7 +134,7 @@ def estimate_series(
     ``wall_time_ms`` is the time since the previous one.  The whole series is
     budget-checked against its deepest level up front so a long run cannot
     fail halfway through; ``tol`` must lie in the Moran solver's range.
-    ToleranceError: a log left float64, or the sum at s = 1 rounded to 1.
+    ToleranceError: a log left float64.
     """
     check_tolerance(tol)
     depth_list = sorted(set(int(d) for d in depths))

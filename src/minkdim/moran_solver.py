@@ -70,25 +70,26 @@ def _moran_derivative(K: DigitSet, s) -> mpf:
 
 
 def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):
-    """Root of a strictly decreasing h on [lo, hi] with h(lo) > 0 > h(hi).
+    """Root of a decreasing h on the closed bracket [lo, hi]: h(lo) >= 0 >= h(hi).
 
     One loop evaluates h, stops as soon as |h| <= residual_target, narrows
     the bracket and steps: to the bracket's midpoint until it is BISECT_WIDTH
     wide, then by Newton (clamped to the live bracket, falling back to its
-    midpoint).  Works unchanged over floats and mpmath floats.
+    midpoint).  Works unchanged over floats and mpmath floats.  An endpoint
+    value that rounds to zero still brackets: the loop starts at the midpoint
+    and converges to a point that meets the target.
 
     Returns (root, h(root), evaluations, bracket), the residual signed.
-    Raises ToleranceError if h(lo) > 0 > h(hi) fails at working precision
-    (for an h that brackets its root exactly, only rounding can break it) or
-    if the target is unreachable within MAX_NEWTON steps.
+    Raises ToleranceError if h(lo) >= 0 >= h(hi) fails at working precision
+    or if the target is unreachable within MAX_NEWTON steps.
     """
     h_lo, h_hi = h(lo), h(hi)
     iterations = 2
-    if not (h_lo > 0 > h_hi):
+    if not (h_lo >= 0 >= h_hi):
         prec = mp.prec if isinstance(h_lo, mpf) else 53  # mpf, or float64
         raise ToleranceError(
-            f"h({lo}) = {h_lo} and h({hi}) = {h_hi} at {prec}-bit precision: an endpoint "
-            f"value rounds to zero or past it, so [{lo}, {hi}] does not bracket the root"
+            f"h({lo}) = {h_lo} and h({hi}) = {h_hi} at {prec}-bit precision: "
+            f"[{lo}, {hi}] does not bracket the root"
         )
     s, newton_steps = (lo + hi) / 2, 0
     while newton_steps <= MAX_NEWTON:
@@ -120,9 +121,7 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
     ``tol`` must lie in [MIN_TOLERANCE, MAX_TOLERANCE] (``check_tolerance``);
     the root is always polished to |f(s) - 1| <= 2^-100, so it meets every
     accepted tol.  Monotonicity plus the endpoint values f(0) = S > 1 > f(1)
-    guarantee existence and uniqueness in (0, 1).  If f(1) - 1 rounds to
-    zero at PRECISION_BITS (it is -2^-n for K = {1..n}, so n >= 129),
-    ``bisect_newton`` raises ToleranceError.
+    guarantee existence and uniqueness in (0, 1).
     """
     check_tolerance(tol)
     with mp.workprec(PRECISION_BITS):

@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+from decimal import Decimal
 
 import pytest
 
@@ -9,7 +11,6 @@ from minkdim import DigitSet, Side, estimate_series
 from minkdim.cli import (
     EXIT_BUDGET,
     EXIT_OK,
-    EXIT_TOLERANCE,
     EXIT_USAGE,
     MAX_DIGIT_SUM,
     main,
@@ -86,6 +87,14 @@ class TestMoranCommand:
         assert main(["moran", "--digits", "1,2", "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["result"]["moran_root"]["s_float"] - 0.6942419136) <= 1e-9
+
+    def test_root_past_128_bits_answers(self, capsys):
+        # f(1) - 1 = -2^-129 rounds to zero at the solver's 128 bits
+        assert main(["moran", "--digits", "1..129", "--format", "json"]) == EXIT_OK
+        root = json.loads(capsys.readouterr().out)["result"]["moran_root"]
+        assert root["s_float"] == 1.0
+        lo, s, hi = (Decimal(v) for v in (*root["bracket"], root["s"]))
+        assert lo <= s <= hi
 
     def test_usage_errors(self, capsys):
         assert main(["moran", "--digits", "3"]) == EXIT_USAGE
@@ -258,14 +267,13 @@ class TestEmpiricalCommand:
             assert main(argv) == EXIT_OK
             assert capsys.readouterr().out.count("\n") == 3
 
-    def test_unbracketed_root_is_a_tolerance_failure(self, capsys):
+    def test_image_sum_rounding_to_one_at_s_one_answers(self, capsys):
         # at s = 1 the image sum is 1 - 2^-60, which rounds to 1 in float64
-        argv = ["empirical", "--digits", "1..60", "--side", "image", "--depths", "1"]
-        assert main(argv) == EXIT_TOLERANCE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("error: ") and "rounds" in captured.err
+        argv = ["empirical", "--digits", "1..60", "--side", "image", "--depths", "1..3"]
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        series = json.loads(capsys.readouterr().out)["result"]["series"]
+        assert [row["depth"] for row in series] == [1, 2, 3]
+        assert all(abs(row["s_hat"] - 1) <= 1e-10 for row in series)
 
     @pytest.mark.parametrize("digits, depths", [("1..9", "5000"), ("1,2", "20000")])
     def test_budget_at_huge_depth(self, capsys, digits, depths):
@@ -356,17 +364,27 @@ def test_options_are_scoped_to_the_commands_that_read_them(
         assert config[option[2:]] == float(value)
 
 
+@pytest.fixture
+def low_str_digits():
+    """Lower the interpreter's int-to-str limit to its floor, 640 digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize(
     "argv",
     [
-        ["eval", "--rational", "123456789/987654321"],
-        ["eval", "--cf", "0;(1,20000)"],
-        ["construct", "--digits", "1,14000", "--depth", "1"],
+        ["eval", "--cf", f"0;{MAX_DIGIT_SUM}"],
+        ["eval", "--cf", "0;(1,7141)"],
+        ["construct", "--digits", "1,4761", "--depth", "1"],
     ],
 )
-def test_value_too_long_to_print_is_a_usage_error(capsys, argv, fmt):
-    """Exact values past int-to-str's 4,300-digit limit exit 2 with one line."""
+def test_value_too_long_to_print_is_a_usage_error(capsys, low_str_digits, argv, fmt):
+    """Under a lowered int-to-str limit, admitted values too long to print
+    exit 2 with one line; MAX_DIGIT_SUM keeps the default limit out of reach."""
     assert main([*argv, "--format", fmt]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -382,6 +400,9 @@ def test_value_too_long_to_print_is_a_usage_error(capsys, argv, fmt):
         (["eval", "--rational", "1/100001"], 100001),
         (["construct", "--digits", "1,25001", "--depth", "2"], 100004),  # + the hull's period
         (["construct", "--digits", "1,10000000000", "--depth", "0"], 20000000000),
+        (["eval", "--cf", "0;14285"], 14285),
+        (["construct", "--digits", "1,4762", "--depth", "1"], 14286),
+        (["eval", "--cf", "0;(14284)"], 28568),  # prints, but the period counts twice
     ],
 )
 def test_digit_sum_ceiling_is_a_usage_error(capsys, argv, total):
@@ -389,9 +410,9 @@ def test_digit_sum_ceiling_is_a_usage_error(capsys, argv, total):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"digit sum {total} exceeds {MAX_DIGIT_SUM}\n" in err
-    # the ceiling itself is admitted, and then too long to print
-    assert main(["eval", "--cf", f"0;{MAX_DIGIT_SUM}"]) == EXIT_USAGE
-    assert "too long to print" in capsys.readouterr().err
+    # the ceiling itself is admitted, and prints: 2^14284 has 4,300 digits
+    assert main(["eval", "--cf", f"0;{MAX_DIGIT_SUM}"]) == EXIT_OK
+    assert len(capsys.readouterr().out) > 4300
 
 
 class TestOutputPlumbing:

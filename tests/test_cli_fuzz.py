@@ -11,12 +11,13 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minkdim.cli import (
     EXIT_OK,
     EXIT_USAGE,
+    MAX_DIGIT_SUM,
     MAX_RANGE_LIST,
     main,
     parse_depth_spec,
@@ -83,6 +84,21 @@ def cf_texts(draw) -> str:
 @given(cf_texts(), st.sampled_from(["text", "json", "csv"]))
 def test_eval_cf_exits_0_or_2(text, fmt):
     assert run(["eval", "--cf", text, "--format", fmt]) in (EXIT_OK, EXIT_USAGE)
+
+
+admitted_digits = st.lists(st.integers(1, MAX_DIGIT_SUM // 2), max_size=3)
+
+
+@fuzz
+@given(admitted_digits, admitted_digits, st.sampled_from(["text", "json", "csv"]))
+def test_eval_cf_within_digit_sum_ceiling_answers(preperiod, period, fmt):
+    # every value the ceiling admits prints under the default int-to-str limit
+    assume(preperiod or period)
+    assume(sum(preperiod) + 2 * sum(period) <= MAX_DIGIT_SUM)
+    head = ",".join(map(str, preperiod))
+    tail = f"({','.join(map(str, period))})" if period else ""
+    body = ",".join(part for part in (head, tail) if part)
+    assert run(["eval", "--cf", f"0;{body}", "--format", fmt]) == EXIT_OK
 
 
 @st.composite

@@ -112,15 +112,15 @@ class TestClosedForm:
 
     def test_equals_general_solver(self):
         # moran_root polishes only to |f(s) - 1| <= 2^-100 (n = 10 stops at
-        # 3.8e-31) and |f'| > 1 near s = 1, so the two agree within 2^-100
-        for n in range(9, 129):
+        # 3.8e-31) and |f'| > 1 near s = 1, so the two agree within 2^-100;
+        # from n = 129 on, f(1) - 1 = -2^-n rounds to zero at 128 bits
+        for n in [*range(9, 129), 129, 130, 200, 255]:
             want = moran_root(DigitSet(range(1, n + 1))).s
             got = preservation_verdict(n).image_dimension.s
             with mp.workprec(256):
                 assert abs(got - want) <= mpf(2) ** -100, n
 
     def test_certified_at_256_bits(self):
-        # from n = 129 on, f(1) - 1 = -2^-n is out of reach of the general solver
         with mp.workprec(256):
             for n in range(9, 256):
                 root = preservation_verdict(n).image_dimension

@@ -9,6 +9,8 @@ divide the root exactly.  The headline digit set {1..9} is pinned to
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from minkdim import (
@@ -131,8 +133,15 @@ class TestBisectNewton:
         )
         assert result == (0.5, 0.0, 3, (0.0, 1.0))
 
+    def test_zero_at_hi_brackets(self):
+        # the closed bracket admits h(hi) == 0; the loop starts at the midpoint
+        s, res, _, (lo, hi) = bisect_newton(
+            lambda s: 1.0 - s, lambda s: -1.0, 0.0, 1.0, residual_target=1e-12
+        )
+        assert 0.0 <= res <= 1e-12 and lo <= s <= hi == 1.0
+
     def test_requires_bracketing(self):
-        with pytest.raises(ToleranceError, match="rounds"):
+        with pytest.raises(ToleranceError, match="does not bracket"):
             bisect_newton(
                 lambda s: s + 1.0,
                 lambda s: 1.0,
@@ -158,3 +167,43 @@ class TestBisectNewton:
                 1.0,
                 residual_target=-1.0,  # |res| can never go negative
             )
+
+
+def moran_minus_one(K: DigitSet, s) -> mpf:
+    """f(s) - 1 at the caller's precision; fsum adds the terms exactly."""
+    return mp.fsum([*(mpf(2) ** (-k * mpf(s)) for k in K.digits), -1])
+
+
+@st.composite
+def ranges_plus(draw) -> DigitSet:
+    """{1..n} for n <= 300, plus up to three digits up to 10^4."""
+    n = draw(st.integers(1, 300))
+    extra = draw(st.sets(st.integers(n + 1, 10**4), min_size=1 if n == 1 else 0, max_size=3))
+    return DigitSet((*range(1, n + 1), *sorted(extra)))
+
+
+prop = settings(database=None, deadline=None, max_examples=25)
+
+
+class TestMoranRootProperties:
+    """Digit sets whose f(1) - 1 rounds to zero at 128 bits still answer."""
+
+    @prop
+    @given(ranges_plus())
+    def test_certified_at_256_bits(self, K):
+        root = moran_root(K)
+        lo, hi = root.bracket
+        assert lo <= root.s <= hi
+        # K = {1..n} plus digits past n, so 1 - f(1) >= 2^-(n+3): from n = 254
+        # on, 256 bits would round f(1) - 1 to zero
+        with mp.workprec(256 + len(K.digits)):
+            assert moran_minus_one(K, lo) > 0 > moran_minus_one(K, hi)
+            assert abs(moran_minus_one(K, root.s)) <= 1e-12
+
+    @prop
+    @given(ranges_plus(), st.integers(1, 10**4))
+    def test_adding_a_digit_never_lowers_the_root(self, K, digit):
+        if digit in K.digits:
+            return
+        wider = DigitSet((*K.digits, digit))
+        assert moran_root(wider).s >= moran_root(K).s
