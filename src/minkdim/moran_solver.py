@@ -59,8 +59,13 @@ def moran_function(K: DigitSet, s) -> mpf:
     if s < 0:
         raise ValueError("s must be nonnegative")
     with mp.workprec(PRECISION_BITS):
-        sv = mpf(s)
-        return mp.fsum(mpf(2) ** (-k * sv) for k in K.digits)
+        return _moran_sum(K, s)
+
+
+def _moran_sum(K: DigitSet, s) -> mpf:
+    """f(s), at the caller's precision."""
+    sv = mpf(s)
+    return mp.fsum(mpf(2) ** (-k * sv) for k in K.digits)
 
 
 def _moran_derivative(K: DigitSet, s) -> mpf:
@@ -132,4 +137,7 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
             mpf(1),
             residual_target=mpf(2) ** -_RESIDUAL_BITS,
         )
+    if res == 0:  # f(s) - 1 rounds to zero: report it at twice the working precision
+        with mp.workprec(2 * PRECISION_BITS):
+            res = _moran_sum(K, s) - 1
     return MoranRoot(s=s, residual=abs(res), iterations=iters, bracket=bracket)

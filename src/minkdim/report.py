@@ -6,17 +6,20 @@ rendered both as "p/q" strings and as decimals with 15 significant digits
 report serializes to a JSON object with top-level fields
 {schema_version, command, config, result, diagnostics}.  Records keep exact
 rationals as Fractions until one format renders them: ``format_record`` for
-text and CSV, ``report_json`` as {"exact", "decimal"} pairs.
+text and CSV (``str.format_map`` over a wrapper that applies the record
+rules), ``report_json`` as {"exact", "decimal"} pairs, in the layout of
+``json.dumps(indent=2)`` but written directly, without its pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
-import string
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Any
 
 from mpmath import mp
@@ -25,6 +28,7 @@ from . import __version__
 
 SCHEMA_VERSION = "1"
 DECIMAL_SIGNIFICANT_DIGITS = 15
+_DECIMAL = Context(prec=DECIMAL_SIGNIFICANT_DIGITS, rounding=ROUND_HALF_EVEN)
 
 
 def fraction_str(fr: Fraction) -> str:
@@ -37,10 +41,7 @@ def fraction_str(fr: Fraction) -> str:
 
 def decimal_str(fr: Fraction) -> str:
     """Decimal rendering of an exact rational at DECIMAL_SIGNIFICANT_DIGITS."""
-    with localcontext() as ctx:
-        ctx.prec = DECIMAL_SIGNIFICANT_DIGITS
-        ctx.rounding = ROUND_HALF_EVEN
-        return str(Decimal(fr.numerator) / Decimal(fr.denominator))
+    return str(_DECIMAL.divide(Decimal(fr.numerator), Decimal(fr.denominator)))
 
 
 def exact_number(fr: Fraction) -> dict[str, str]:
@@ -53,8 +54,23 @@ def mpf_str(x, digits: int = 20) -> str:
     return mp.nstr(x, digits)
 
 
-class _RecordFormatter(string.Formatter):
-    def format_field(self, value, spec):
+class _Field:
+    """A record value under ``str.format_map``: lookups rewrap it, and
+    ``format`` applies the record rules of ``format_record``."""
+
+    __slots__ = ("_value",)  # not "value": templates read an Enum's .value
+
+    def __init__(self, value: Any):
+        self._value = value
+
+    def __getitem__(self, key) -> "_Field":
+        return _Field(self._value[key])
+
+    def __getattr__(self, name: str) -> "_Field":
+        return _Field(getattr(self._value, name))
+
+    def __format__(self, spec: str) -> str:
+        value = self._value
         if isinstance(value, Fraction):
             return decimal_str(value) if spec == "decimal" else fraction_str(value)
         if isinstance(value, (list, tuple)):
@@ -64,9 +80,6 @@ class _RecordFormatter(string.Formatter):
         return format(value, spec)
 
 
-_FORMATTER = _RecordFormatter()
-
-
 def format_record(template: str, record: dict[str, Any]) -> str:
     """``template.format_map(record)`` with the contract's renderings.
 
@@ -74,7 +87,7 @@ def format_record(template: str, record: dict[str, Any]) -> str:
     "decimal"; a list or tuple field joins its items with the spec as the
     separator, or braces them like a digit set under the spec "set".
     """
-    return _FORMATTER.vformat(template, (), record)
+    return template.format_map(_Field(record))
 
 
 def _json_value(value: Any) -> Any:
@@ -86,6 +99,34 @@ def _json_value(value: Any) -> Any:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+_JSON_SCALARS = {  # the bulk of a report, at C speed; json.dumps spells the rest
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if isfinite(x) else json.dumps(x),
+}
+
+
+def _json_text(value: Any, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, default=_json_value)`` of a string-keyed
+    record, written ``pad`` deep."""
+    if (encode := _JSON_SCALARS.get(type(value))) is not None:
+        return encode(value)
+    if value is None or isinstance(value, (str, int, float)):  # bool, subclasses
+        return json.dumps(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return _json_text(_json_value(value), pad)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    else:
+        items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
 def report_json(command: str, config: dict[str, Any], result: dict[str, Any]) -> str:
     """One CLI invocation's machine-readable output, as indented JSON."""
     report = {
@@ -95,4 +136,4 @@ def report_json(command: str, config: dict[str, Any], result: dict[str, Any]) ->
         "result": result,
         "diagnostics": {"tool_version": __version__},
     }
-    return json.dumps(report, indent=2, default=_json_value)
+    return _json_text(report)

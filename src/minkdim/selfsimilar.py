@@ -13,14 +13,16 @@ exact `fractions.Fraction`:
   * the rank-n tail sets (sets of series remainders after n fixed digits)
     and their rank-independent diameter;
   * image cylinders: the exact hull of the image points with a given digit
-    head, whose diameters contract by 2^-k per appended digit k.
+    head, whose diameters contract by 2^-k per appended digit k.  A whole
+    depth is enumerated in integers: every hull endpoint is an integer over
+    2^(digit sum) times the common denominator of inf and sup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from math import lcm
 from typing import Iterator, Sequence
 
 from .cf_core import (
@@ -134,6 +136,28 @@ def enumerate_image_cylinders(
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     check_budget(K, depth, budget)
+    return _image_cylinders(K, depth)
+
+
+def _image_cylinders(K: DigitSet, depth: int) -> Iterator[ImageCylinder]:
+    """The depth-n cylinders, depth-first in lexicographic order, in integers.
+
+    With inf = a/D and sup = b/D, the word with head value m/2^A (A its
+    digit sum) has the hull [mD + a, mD + b] / (2^A D) at even n and
+    [mD - b, mD - a] / (2^A D) at odd n.  Appending digit k to a length-j
+    word gives m 2^k + 2 (-1)^j and A + k.
+    """
     inf0, sup0 = image_inf(K), image_sup(K)
-    words = product(K.digits, repeat=depth)
-    return (ImageCylinder(w, _tail_hull(w, inf0, sup0)) for w in words)
+    den = lcm(inf0.denominator, sup0.denominator)
+    a, b = int(inf0 * den), int(sup0 * den)
+    c_lo, c_hi = (a, b) if depth % 2 == 0 else (-b, -a)
+    stack = [((), 0, 0)]  # (word, m, A); O(depth S) entries at a time
+    while stack:
+        word, m, total = stack.pop()
+        if len(word) == depth:
+            base, scale = m * den, den << total
+            hull = RationalInterval(Fraction(base + c_lo, scale), Fraction(base + c_hi, scale))
+            yield ImageCylinder(word, hull)
+            continue
+        step = -2 if len(word) % 2 else 2
+        stack += [(word + (k,), (m << k) + step, total + k) for k in reversed(K.digits)]

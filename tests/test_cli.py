@@ -6,8 +6,9 @@ import sys
 from decimal import Decimal
 
 import pytest
+from mpmath import mp, mpf
 
-from minkdim import DigitSet, Side, estimate_series
+from minkdim import DigitSet, Side, estimate_series, moran_root
 from minkdim.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -95,6 +96,16 @@ class TestMoranCommand:
         assert root["s_float"] == 1.0
         lo, s, hi = (Decimal(v) for v in (*root["bracket"], root["s"]))
         assert lo <= s <= hi
+
+    def test_residual_past_128_bits_is_reported(self, capsys):
+        # f(s) - 1 rounds to zero at 128 bits; the report reads it at 256
+        K = DigitSet(tuple(range(1, 130)))
+        assert main(["moran", "--digits", "1..129", "--format", "json"]) == EXIT_OK
+        got = mpf(json.loads(capsys.readouterr().out)["result"]["moran_root"]["residual"])
+        s = moran_root(K).s
+        with mp.workprec(256):
+            want = abs(mp.fsum(mpf(2) ** (-k * s) for k in K.digits) - 1)
+        assert 0 < got and want / 2 <= got <= 2 * want
 
     def test_usage_errors(self, capsys):
         assert main(["moran", "--digits", "3"]) == EXIT_USAGE

@@ -1,15 +1,36 @@
-"""Report rendering: decimal contract and JSON envelope."""
+"""Report rendering: decimal contract, JSON envelope, and the two renderers
+against the standard library's: ``report_json`` against ``json.dumps`` and
+``format_record`` against a ``string.Formatter`` with the same rules."""
 
 import json
+import string
+import sys
+from enum import Enum, IntEnum
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minkdim import __version__
+from minkdim.cli import COMMANDS, build_parser
 from minkdim.report import (
+    SCHEMA_VERSION,
+    _json_value,
     decimal_str,
     exact_number,
+    format_record,
     fraction_str,
     mpf_str,
     report_json,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import golden  # noqa: E402
+
+RECORD_ARGVS = [*golden.README_COMMANDS.values(), ["construct", "--digits", "1,6", "--depth", "5"]]
+ARGV_IDS = [*golden.README_COMMANDS, "construct-1,6@5"]
 
 
 class TestDecimalRendering:
@@ -47,3 +68,103 @@ class TestDimensionReport:
             "diagnostics",
         }
         assert payload["diagnostics"]["tool_version"]
+
+
+def command_records(argv: list[str]):
+    args = build_parser().parse_args(argv)
+    return COMMANDS[args.command].run(args)
+
+
+def dumps_report(command: str, config: dict, result: dict) -> str:
+    """The JSON report as ``json.dumps(indent=2)`` writes it."""
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "config": config,
+        "result": result,
+        "diagnostics": {"tool_version": __version__},
+    }
+    return json.dumps(report, indent=2, default=_json_value)
+
+
+class Colour(Enum):
+    RED = "red"
+    BLUE = 2
+
+
+class Rank(IntEnum):
+    LOW = -3
+
+
+class Tag(str, Enum):
+    NAME = "na\"me"
+
+
+JSON_SCALARS = st.one_of(
+    st.text(),  # non-ASCII, quotes, backslashes and control characters
+    st.text(alphabet=st.sampled_from('"\\\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600')),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    st.floats(),  # with nan and +-inf
+    st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+    st.fractions(),
+    st.sampled_from([*Colour, *Rank, *Tag]),
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("argv", RECORD_ARGVS, ids=ARGV_IDS)
+    def test_matches_json_dumps_on_command_records(self, argv):
+        config, result, _ = command_records(argv)
+        assert report_json(argv[0], config, result) == dumps_report(argv[0], config, result)
+
+    @settings(database=None, deadline=None, max_examples=300)
+    @given(JSON_TREES, JSON_TREES)
+    def test_matches_json_dumps(self, config, result):
+        assert report_json("x", config, result) == dumps_report("x", config, result)
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError, match="complex"):
+            report_json("x", {}, {"z": 1j})
+
+
+class _StringFormatter(string.Formatter):
+    """The record rules as a ``string.Formatter``: the test oracle."""
+
+    def format_field(self, value, spec):
+        if isinstance(value, Fraction):
+            return decimal_str(value) if spec == "decimal" else fraction_str(value)
+        if isinstance(value, (list, tuple)):
+            if spec == "set":
+                return "{" + ", ".join(map(str, value)) + "}"
+            return spec.join(map(str, value))
+        return format(value, spec)
+
+
+class TestFormatRecord:
+    @pytest.mark.parametrize("argv", RECORD_ARGVS, ids=ARGV_IDS)
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_matches_string_formatter(self, argv, fmt):
+        config, result, rows = command_records(argv)
+        scope = {**config, **result}
+        head, line, *foot = getattr(COMMANDS[argv[0]], fmt)
+        cases = [(head, scope), *((line, {**scope, **row}) for row in rows)]
+        cases += [(template, scope) for template in foot]
+        oracle = _StringFormatter()
+        for template, record in cases:
+            assert format_record(template, record) == oracle.vformat(template, (), record)
+
+    def test_lookups_and_specs(self):
+        record = {"x": {"k": [Fraction(1, 3), 2]}, "c": Colour.RED, "w": (1, 2)}
+        template = "{x[k][0]} {x[k][0]:decimal} {c.value} {c.name} {w:-} {w:set} {x[k][1]:>3}"
+        assert format_record(template, record) == "1/3 0.333333333333333 red RED 1-2 {1, 2}   2"

@@ -238,7 +238,18 @@ class TestEnumeration:
                 )
                 assert total == contraction**depth
 
+    @pytest.mark.parametrize(
+        "digits", [(1, 2), (1, 6), (3, 7), (2, 4, 6, 8), (1, 3), (1, 4, 5), (1, 2, 7, 9)]
+    )
+    def test_integer_build_matches_tail_hulls(self, digits):
+        # image_cylinder builds each hull by Fraction arithmetic on its own
+        K = DigitSet(digits)
+        for depth in range(7):
+            oracle = [image_cylinder(K, w) for w in product(K.digits, repeat=depth)]
+            assert list(enumerate_image_cylinders(K, depth)) == oracle
+
     def test_budget_and_validation(self):
+        # every error raises at call time, before the first cylinder is pulled
         with pytest.raises(BudgetExceededError):
             enumerate_image_cylinders(DigitSet((1, 2)), 10, budget=100)
         with pytest.raises(ValueError):
