@@ -9,8 +9,11 @@ by 2^-k per digit k, so the equation specializes to
 
 whose left side falls strictly from S at s = 0 to sum 2^-k < 1 at s = 1.
 The root is located by bisection to a narrow bracket and polished with
-Newton steps (f'(s) = -ln 2 * sum k 2^(-k s)), all in extended-precision
-arithmetic so results are deterministic bit-for-bit and accurate far beyond
+Newton steps (f'(s) = -ln 2 * sum k 2^(-k s)).  Both sums come from one
+pass of ``_moran_sums``: one mpmath power for the leading term 2^(-k1 s),
+whose exponent never underflows, times a sum of powers of x = 2^-s in
+Python-integer fixed point with enough guard bits for the working
+precision.  Results are deterministic bit-for-bit and accurate far beyond
 the requested tolerance -- identities like root(c*K) = root(K)/c then hold
 to working precision, not just to tolerance.
 """
@@ -18,6 +21,7 @@ to working precision, not just to tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable
 
 from mpmath import mp, mpf
@@ -58,20 +62,69 @@ def moran_function(K: DigitSet, s) -> mpf:
     """Left-hand side sum(2^(-k s)) over K; strictly decreasing in s >= 0."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    with mp.workprec(PRECISION_BITS):
-        return _moran_sum(K, s)
+    return _moran_sums(K, s, PRECISION_BITS)[0]
 
 
-def _moran_sum(K: DigitSet, s) -> mpf:
-    """f(s), at the caller's precision."""
-    sv = mpf(s)
-    return mp.fsum(mpf(2) ** (-k * sv) for k in K.digits)
+def _moran_sums(K: DigitSet, s, prec: int) -> tuple[mpf, mpf]:
+    """(sum 2^(-k s), sum k 2^(-k s)) over K, for s >= 0, at prec bits.
 
+    With k1 the least digit and x = 2^-s, both sums are 2^(-k1 s) times
+    sum_k x^(k - k1) and sum_k k x^(k - k1).  The head 2^(-k1 s) is the
+    exact shift 2^-floor(k1 s) times one mpmath power at prec bits of the
+    fractional part, with k1 s formed exactly, so its exponent neither
+    underflows nor loses bits.  The rest runs in F-bit fixed point:
+    X = floor(x 2^F) and its repeated squares, squaring stopped at the first
+    that truncates to 0; the walk over the sorted digits gets each term from
+    the one before by multiplying in the squares named by the bits of the
+    gap between their digits, and stops at the first term that truncates to
+    0.  Every step truncates, so every fixed-point term is a lower bound,
+    and head times each sum is rounded down: apart from the head's own
+    rounding, neither sum is ever overstated.
 
-def _moran_derivative(K: DigitSet, s) -> mpf:
-    """f'(s), at the caller's precision: moran_root sets PRECISION_BITS."""
-    sv = mpf(s)
-    return -mp.ln2 * mp.fsum(k * mpf(2) ** (-k * sv) for k in K.digits)
+    Error bound.  Let u = 2^-F, n = |K|, b the bit length of the span
+    k_n - k1, and M the lesser of the span and a power of two in [1/s, 4/s]:
+    M >= max_m m x^m = 1/(e s ln 2) bounds how far squaring amplifies the
+    rounding of X (M = 0 at s = 0, where every step is exact).  The stored
+    square x^(2^j) falls short by at most (j + 1)(M + 1) u, so each of the at
+    most b multiplications per gap costs at most (b (M + 1) + 1) u, and the
+    fixed-point sum, at least 1, falls short by at most E u with
+    E = n^2 b^2 (M + 2).  A term the walk drops is below E u, and one it
+    keeps has k - k1 <= F M, so the weighted sum, at least k1, falls short by
+    at most E u (1 + F M / k1) of itself.  F takes prec + 2 bits plus the
+    bits of both factors, so each sum is within 2^-(prec + 1) of its value,
+    relative, before the head's rounding.
+    """
+    digits = K.digits
+    k1, n, b = digits[0], len(digits), (digits[-1] - digits[0]).bit_length()
+    M = 0 if s == 0 else min(digits[-1] - k1, 1 << max(0, 2 - mp.mag(s)))
+    F = prec + 2 + (n * n * b * b * (M + 2)).bit_length()
+    F += (2 * F * (M + 1) // k1 + 1).bit_length()
+    with mp.workprec(F + 8):
+        squares = [int(mp.ldexp(mpf(2) ** -mpf(s), F))]  # floor: the power is positive
+    while squares[-1] and len(squares) < b:
+        squares.append(squares[-1] ** 2 >> F)
+    # x^gap truncates to 0 once gap reaches 2^zero_bit: so do all later terms
+    zero_bit = len(squares) - 1 if not squares[-1] else b
+    term, total, weighted, prev = 1 << F, 1 << F, k1 << F, k1
+    for k in digits[1:]:
+        gap, prev = k - prev, k
+        if gap >> zero_bit:
+            break
+        j = 0
+        while gap:
+            if gap & 1:
+                term = term * squares[j] >> F
+            gap >>= 1
+            j += 1
+        if not term:
+            break
+        total += term
+        weighted += k * term
+    exponent = mp.fmul(k1, s, exact=True)
+    whole = int(exponent)  # 2^-exponent = 2^-whole 2^-(exponent - whole), both exact
+    with mp.workprec(prec):
+        head = mp.ldexp(mpf(2) ** -mp.fsub(exponent, whole, exact=True), -whole)
+        return tuple(mp.ldexp(mp.fmul(head, v, rounding="f"), -F) for v in (total, weighted))
 
 
 def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):
@@ -125,19 +178,25 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
 
     ``tol`` must lie in [MIN_TOLERANCE, MAX_TOLERANCE] (``check_tolerance``);
     the root is always polished to |f(s) - 1| <= 2^-100, so it meets every
-    accepted tol.  Monotonicity plus the endpoint values f(0) = S > 1 > f(1)
-    guarantee existence and uniqueness in (0, 1).
+    accepted tol.  Monotonicity plus the endpoint values f(0) = S > 1 >= f(hi)
+    guarantee existence and uniqueness in (0, hi], where hi = min(1,
+    ceil(log2 S)/k1) (rounded up): f(hi) <= S 2^(-k1 hi) <= 1.  For huge k1
+    the root lies near 1/k1, far below the bisection width, and this bracket
+    is what Newton narrows.
     """
     check_tolerance(tol)
+    # h and h' at the same point (every Newton step) share one pass
+    sums = lru_cache(maxsize=1)(lambda s: _moran_sums(K, s, PRECISION_BITS))
     with mp.workprec(PRECISION_BITS):
+        hi = min(mpf(1), mp.fdiv((len(K) - 1).bit_length(), K.digits[0], rounding="u"))
         s, res, iters, bracket = bisect_newton(
-            lambda s: moran_function(K, s) - 1,
-            lambda s: _moran_derivative(K, s),
+            lambda s: sums(s)[0] - 1,
+            lambda s: -mp.ln2 * sums(s)[1],
             mpf(0),
-            mpf(1),
+            hi,
             residual_target=mpf(2) ** -_RESIDUAL_BITS,
         )
     if res == 0:  # f(s) - 1 rounds to zero: report it at twice the working precision
         with mp.workprec(2 * PRECISION_BITS):
-            res = _moran_sum(K, s) - 1
+            res = _moran_sums(K, s, 2 * PRECISION_BITS)[0] - 1
     return MoranRoot(s=s, residual=abs(res), iterations=iters, bracket=bracket)

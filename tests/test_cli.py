@@ -90,12 +90,13 @@ class TestMoranCommand:
         assert abs(payload["result"]["moran_root"]["s_float"] - 0.6942419136) <= 1e-9
 
     def test_root_past_128_bits_answers(self, capsys):
-        # f(1) - 1 = -2^-129 rounds to zero at the solver's 128 bits
-        assert main(["moran", "--digits", "1..129", "--format", "json"]) == EXIT_OK
-        root = json.loads(capsys.readouterr().out)["result"]["moran_root"]
-        assert root["s_float"] == 1.0
-        lo, s, hi = (Decimal(v) for v in (*root["bracket"], root["s"]))
-        assert lo <= s <= hi
+        # f(1) - 1 = -2^-n rounds to zero at the solver's 128 bits
+        for digits in ("1..129", "1..20000"):
+            assert main(["moran", "--digits", digits, "--format", "json"]) == EXIT_OK
+            root = json.loads(capsys.readouterr().out)["result"]["moran_root"]
+            assert root["s"] == "1.0" and root["s_float"] == 1.0
+            lo, s, hi = (Decimal(v) for v in (*root["bracket"], root["s"]))
+            assert lo <= s <= hi
 
     def test_residual_past_128_bits_is_reported(self, capsys):
         # f(s) - 1 rounds to zero at 128 bits; the report reads it at 256

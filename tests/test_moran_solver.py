@@ -3,7 +3,8 @@
 Closed-form oracles: x = 2^-s substitution turns the {1,2} equation into
 x + x^2 = 1, so the root is log2 of the golden ratio; scaled digit sets
 divide the root exactly.  The headline digit set {1..9} is pinned to
-0.9985778625536 at 1e-10.
+0.9985778625536 at 1e-10.  The fixed-point kernel is checked against
+``oracle_sums``: one mpmath power per digit at 256 bits, added by fsum.
 """
 
 import random
@@ -20,6 +21,7 @@ from minkdim import (
     moran_function,
     moran_root,
 )
+from minkdim.moran_solver import PRECISION_BITS, _moran_sums
 
 NINE = DigitSet(tuple(range(1, 10)))
 
@@ -174,6 +176,13 @@ def moran_minus_one(K: DigitSet, s) -> mpf:
     return mp.fsum([*(mpf(2) ** (-k * mpf(s)) for k in K.digits), -1])
 
 
+def oracle_sums(K: DigitSet, s) -> tuple[mpf, mpf]:
+    """sum 2^(-k s) and sum k 2^(-k s) at 256 bits, one power per digit."""
+    with mp.workprec(256):
+        terms = [mpf(2) ** (-k * mpf(s)) for k in K.digits]
+        return mp.fsum(terms), mp.fsum(k * t for k, t in zip(K.digits, terms))
+
+
 @st.composite
 def ranges_plus(draw) -> DigitSet:
     """{1..n} for n <= 300, plus up to three digits up to 10^4."""
@@ -182,7 +191,56 @@ def ranges_plus(draw) -> DigitSet:
     return DigitSet((*range(1, n + 1), *sorted(extra)))
 
 
+@st.composite
+def wide_digit_sets(draw) -> DigitSet:
+    """2-60 digits, the least up to 10^30, each gap up to 10^29."""
+    digits = [draw(st.integers(1, 10 ** draw(st.integers(0, 30))))]
+    for _ in range(draw(st.integers(1, 59))):
+        digits.append(digits[-1] + draw(st.integers(1, 10 ** draw(st.integers(0, 29)))))
+    return DigitSet(digits)
+
+
 prop = settings(database=None, deadline=None, max_examples=25)
+
+
+class TestMoranSumsKernel:
+    """The fixed-point kernel against one mpmath power per digit."""
+
+    @settings(database=None, deadline=None, max_examples=200)
+    @given(wide_digit_sets(), st.floats(0, 1), st.booleans())
+    def test_matches_the_oracle(self, K, s, per_least_digit):
+        if per_least_digit:  # s near 1/k1, where the roots of huge digits lie
+            with mp.workprec(PRECISION_BITS):
+                s = mpf(s) / K.digits[0]
+        got, want = _moran_sums(K, s, PRECISION_BITS), oracle_sums(K, s)
+        with mp.workprec(256):
+            for g, w in zip(got, want):
+                assert abs(g - w) <= w * mpf(2) ** -120
+                # it only truncates: only the head's own rounding, an ulp at
+                # most, can put it above
+                assert g <= w * (1 + mpf(2) ** (1 - PRECISION_BITS))
+
+    def test_exact_at_zero(self):
+        # x = 1: every square and term is exact, however wide the span
+        K = DigitSet((3, 7, 10**30))
+        assert _moran_sums(K, 0, PRECISION_BITS) == (3, 3 + 7 + 10**30)
+
+
+class TestExtremeDigitSets:
+    def test_least_digit_past_the_bisection_width(self):
+        # the root lies near 1/k1, far below the bisection's 2^-20
+        for digits in [(10**25, 10**25 + 1), (10**30, 10**30 + 1, 10**31)]:
+            K = DigitSet(digits)
+            root = moran_root(K)
+            with mp.workprec(256):
+                assert abs(moran_minus_one(K, root.s)) <= 1e-12
+                assert moran_minus_one(K, root.bracket[0]) >= 0 >= moran_minus_one(
+                    K, root.bracket[1]
+                )
+
+    def test_huge_gap_keeps_its_root(self):
+        root = moran_root(DigitSet((1, 10**400)))
+        assert mp.nstr(root.s, 19) == "1.976004286301269342e-39"
 
 
 class TestMoranRootProperties:
