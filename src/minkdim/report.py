@@ -9,6 +9,11 @@ rationals as Fractions until one format renders them: ``format_record`` for
 text and CSV (``str.format_map`` over a wrapper that applies the record
 rules), ``report_json`` as {"exact", "decimal"} pairs, in the layout of
 ``json.dumps(indent=2)`` but written directly, without its pure-Python encoder.
+Three kinds of value are written in one step each: str, int and float
+scalars; a value of type exactly Fraction, as its pair with no intermediate
+dict; and a non-empty list or tuple of items all of type exactly int, as one
+join.  Types are matched exactly, so bool, IntEnum and other subclasses
+(DyadicRational among them) take the generic path that json.dumps spells.
 """
 
 from __future__ import annotations
@@ -113,12 +118,20 @@ def _json_text(value: Any, pad: str = "") -> str:
         return encode(value)
     if value is None or isinstance(value, (str, int, float)):  # bool, subclasses
         return json.dumps(value)
+    inner = pad + "  "
+    if type(value) is Fraction:  # exact_number's pair; its strings need no escapes
+        return (
+            f'{{\n{inner}"exact": "{fraction_str(value)}",\n'
+            f'{inner}"decimal": "{decimal_str(value)}"\n{pad}}}'
+        )
     if not isinstance(value, (dict, list, tuple)):
         return _json_text(_json_value(value), pad)
-    inner = pad + "  "
     if isinstance(value, dict):
         items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
         brackets = "{}"
+    elif {*map(type, value)} == {int}:  # a word or a digit list, at C speed
+        items = list(map(int.__repr__, value))
+        brackets = "[]"
     else:
         items = [_json_text(v, inner) for v in value]
         brackets = "[]"

@@ -15,7 +15,9 @@ exact `fractions.Fraction`:
   * image cylinders: the exact hull of the image points with a given digit
     head, whose diameters contract by 2^-k per appended digit k.  A whole
     depth is enumerated in integers: every hull endpoint is an integer over
-    2^(digit sum) times the common denominator of inf and sup.
+    2^(digit sum) times the common denominator of inf and sup.  The
+    diameter is stored with each cylinder; a depth has one per digit sum,
+    image_diameter / 2^(digit sum), built once and shared by its cylinders.
 """
 
 from __future__ import annotations
@@ -38,14 +40,16 @@ from .minkowski_eval import _tail_hull, minkowski_periodic
 
 @dataclass(frozen=True)
 class ImageCylinder:
-    """One construction piece of the image set, with its exact hull."""
+    """One construction piece of the image set, with its exact hull.
+
+    ``diameter`` is stored, equal to ``enclosure.length``: by
+    self-similarity it depends only on the digit sum of ``word``, so an
+    enumerated depth builds it once per digit sum.
+    """
 
     word: tuple[int, ...]
     enclosure: RationalInterval
-
-    @property
-    def diameter(self) -> Fraction:
-        return self.enclosure.length
+    diameter: Fraction
 
 
 def image_sup(K: DigitSet) -> Fraction:
@@ -121,7 +125,8 @@ def image_cylinder(K: DigitSet, word: Sequence[int]) -> ImageCylinder:
     for d in w:
         if d not in K:
             raise ValueError(f"digit {d} is not in {K}")
-    return ImageCylinder(w, _tail_hull(w, image_inf(K), image_sup(K)))
+    hull = _tail_hull(w, image_inf(K), image_sup(K))
+    return ImageCylinder(w, hull, hull.length)
 
 
 def enumerate_image_cylinders(
@@ -145,19 +150,23 @@ def _image_cylinders(K: DigitSet, depth: int) -> Iterator[ImageCylinder]:
     With inf = a/D and sup = b/D, the word with head value m/2^A (A its
     digit sum) has the hull [mD + a, mD + b] / (2^A D) at even n and
     [mD - b, mD - a] / (2^A D) at odd n.  Appending digit k to a length-j
-    word gives m 2^k + 2 (-1)^j and A + k.
+    word gives m 2^k + 2 (-1)^j and A + k.  The diameter is (b - a) /
+    (2^A D), kept per A.
     """
     inf0, sup0 = image_inf(K), image_sup(K)
     den = lcm(inf0.denominator, sup0.denominator)
     a, b = int(inf0 * den), int(sup0 * den)
     c_lo, c_hi = (a, b) if depth % 2 == 0 else (-b, -a)
+    diameters: dict[int, Fraction] = {}  # digit sum -> its one diameter
     stack = [((), 0, 0)]  # (word, m, A); O(depth S) entries at a time
     while stack:
         word, m, total = stack.pop()
         if len(word) == depth:
             base, scale = m * den, den << total
             hull = RationalInterval(Fraction(base + c_lo, scale), Fraction(base + c_hi, scale))
-            yield ImageCylinder(word, hull)
+            if (diameter := diameters.get(total)) is None:
+                diameter = diameters[total] = Fraction(b - a, scale)
+            yield ImageCylinder(word, hull, diameter)
             continue
         step = -2 if len(word) % 2 else 2
         stack += [(word + (k,), (m << k) + step, total + k) for k in reversed(K.digits)]

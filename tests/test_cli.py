@@ -1,5 +1,6 @@
 """Command-line interface: parsing, reports, formats, exit codes."""
 
+import hashlib
 import json
 import random
 import sys
@@ -331,6 +332,22 @@ class TestConstructCommand:
         assert rc == EXIT_BUDGET
         argv = ["construct", "--digits", "1,2", "--depth", "1", "--budget", "0"]
         assert main(argv) == EXIT_USAGE  # a budget must be positive
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("text", "7acc45855c6f6450945afec2eb58bbbb578da325307ce4d8d28566075560fd9f"),
+            ("csv", "6d9ed7ff52960237b4eb65a67845b7ba5d1033dabf39ab9cf6950cdd7d2e1f56"),
+            ("json", "4c4730a98c0fa871a448823bbc94c77014ff0b4d4a4612c66749df708ae3ef83"),
+        ],
+    )
+    def test_4096_cylinder_table_is_pinned(self, capsys, fmt, digest):
+        # the renderer oracles in test_report compare renderers with each
+        # other; these digests tie the whole 4096-row table to fixed bytes
+        argv = ["construct", "--digits", "1,6", "--depth", "12", "--format", fmt]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_budget_at_huge_depth(self, capsys):
         argv = ["construct", "--digits", "1..9", "--depth", "100000000"]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkdim import __version__
+from minkdim import DyadicRational, __version__
 from minkdim.cli import COMMANDS, build_parser
 from minkdim.report import (
     SCHEMA_VERSION,
@@ -29,8 +29,12 @@ from minkdim.report import (
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import golden  # noqa: E402
 
-RECORD_ARGVS = [*golden.README_COMMANDS.values(), ["construct", "--digits", "1,6", "--depth", "5"]]
-ARGV_IDS = [*golden.README_COMMANDS, "construct-1,6@5"]
+RECORD_ARGVS = [
+    *golden.README_COMMANDS.values(),
+    ["construct", "--digits", "1,6", "--depth", "5"],
+    ["construct", "--digits", "2,3,5,8", "--depth", "3"],  # odd depth, shared digit sums
+]
+ARGV_IDS = [*golden.README_COMMANDS, "construct-1,6@5", "construct-2,3,5,8@3"]
 
 
 class TestDecimalRendering:
@@ -111,12 +115,41 @@ JSON_SCALARS = st.one_of(
     st.fractions(),
     st.sampled_from([*Colour, *Rank, *Tag]),
 )
+WIDE_INTS = st.one_of(  # past 2^64 on both sides
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=2**64, max_value=10**40),
+    st.integers(min_value=-(10**40), max_value=-(2**64)),
+)
+
+
+def ints_then(last):
+    """An int list, possibly empty, ending in one item drawn from ``last``."""
+    return st.tuples(st.lists(WIDE_INTS, max_size=4), last).map(lambda t: [*t[0], t[1]])
+
+
+# The values the JSON writer spells in one step, and the look-alikes it must
+# leave to the generic path: bool and IntEnum items, Fraction subclasses.
+JSON_ARMS = st.fixed_dictionaries(
+    {
+        "ints": st.lists(WIDE_INTS, min_size=1, max_size=6),
+        "int_tuple": st.lists(WIDE_INTS, min_size=1, max_size=6).map(tuple),
+        "past_2_64": ints_then(st.integers(min_value=2**64, max_value=10**40)),
+        "bools": st.lists(st.booleans(), min_size=1, max_size=6),
+        "ranks": st.lists(st.sampled_from(Rank), min_size=1, max_size=6),
+        "mixed": ints_then(st.sampled_from([True, *Rank])),
+        "fraction": st.fractions(),
+        "dyadic": st.builds(
+            DyadicRational, WIDE_INTS, st.integers(min_value=0, max_value=80).map(lambda e: 2**e)
+        ),
+    }
+)
 JSON_TREES = st.recursive(
     JSON_SCALARS,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(st.text(max_size=4), children, max_size=4),
+        JSON_ARMS,
     ),
     max_leaves=24,
 )
@@ -129,8 +162,9 @@ class TestJsonWriter:
         assert report_json(argv[0], config, result) == dumps_report(argv[0], config, result)
 
     @settings(database=None, deadline=None, max_examples=300)
-    @given(JSON_TREES, JSON_TREES)
-    def test_matches_json_dumps(self, config, result):
+    @given(JSON_TREES, JSON_TREES, JSON_ARMS)
+    def test_matches_json_dumps(self, config, tree, arms):
+        result = {"tree": tree, "arms": arms}  # every example holds every arm
         assert report_json("x", config, result) == dumps_report("x", config, result)
 
     def test_unknown_type_rejected(self):
