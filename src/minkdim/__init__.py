@@ -35,6 +35,7 @@ from .selfsimilar import (
     enumerate_image_cylinders,
     image_cylinder,
     image_diameter,
+    image_hulls,
     image_inf,
     image_sup,
     tail_set_diameter,
@@ -81,6 +82,7 @@ __all__ = [
     "enumerate_image_cylinders",
     "image_cylinder",
     "image_diameter",
+    "image_hulls",
     "image_inf",
     "image_sup",
     "tail_set_diameter",

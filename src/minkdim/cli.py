@@ -10,12 +10,13 @@ Subcommands:
 
 The subcommands are the entries of one table, COMMANDS.  An entry's ``run``
 computes the command's values once and returns the report ``config``, the
-JSON ``result`` and the row records that the text and CSV outputs list;
-exact rationals stay Fractions until rendering.  Only the format named by
+JSON ``result`` and the row records that the text and CSV outputs list; exact
+rationals stay Fractions until rendering (``construct`` builds its rows
+straight from ``selfsimilar.image_hulls``).  Only the format named by
 --format is rendered: JSON through ``report.report_json``, text and CSV
 through the entry's templates (a head line, one line per row record and, for
-text, an optional foot), which ``report.format_record`` fills from the
-config, the result and the row.
+text, an optional foot), which ``report.format_record`` parses once and fills
+from the config, the result and the row.
 
 Every subcommand accepts --format {text,json,csv} and --out PATH; moran,
 verdict and empirical take --tol, and empirical and construct take
@@ -24,8 +25,9 @@ the solver tolerance range and the budget are each decided in one place.  An
 option a subcommand does not read is a usage error.  Exit codes: 0 success,
 2 usage error (including a range list over MAX_RANGE_LIST values and a digit
 sum over MAX_DIGIT_SUM, both refused before any exact value is built, a
-bounds or verdict n whose float64 upper bound rounds to 1, and an exact value
-past a lowered int-to-str limit), 3 budget exceeded, 4 tolerance failure.
+bounds or verdict n whose float64 upper bound rounds to 1, an exact value past
+a lowered int-to-str limit, and an --out path that cannot be written), 3
+budget exceeded, 4 tolerance failure.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import BudgetExceededError, ToleranceError
 from .minkowski_eval import minkowski_finite, minkowski_periodic
 from .moran_solver import MoranRoot, moran_root
 from .report import format_record, mpf_str, report_json
-from .selfsimilar import enumerate_image_cylinders
+from .selfsimilar import image_hulls
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -195,13 +197,8 @@ def _construct(args) -> Records:
     if (total := K.digits[-1] * (args.depth + 2)) > MAX_DIGIT_SUM:  # + the hull's period
         raise ValueError(f"exact values too large: digit sum {total} exceeds {MAX_DIGIT_SUM}")
     rows = [
-        {
-            "word": cyl.word,
-            "inf": cyl.enclosure.lo,
-            "sup": cyl.enclosure.hi,
-            "diameter": cyl.diameter,
-        }
-        for cyl in enumerate_image_cylinders(K, args.depth, args.budget)
+        {"word": word, "inf": inf, "sup": sup, "diameter": diameter}
+        for word, inf, sup, diameter in image_hulls(K, args.depth)
     ]
     config = {"digits": list(K.digits), "depth": args.depth, "budget": args.budget}
     return config, {"cylinders": rows}, rows
@@ -377,8 +374,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_USAGE)  # ValueError: usage error
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:  # a directory, a missing parent, no permission
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(payload)
     return EXIT_OK

@@ -141,32 +141,36 @@ def enumerate_image_cylinders(
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     check_budget(K, depth, budget)
-    return _image_cylinders(K, depth)
+    return (ImageCylinder(w, RationalInterval(*h), d) for w, *h, d in image_hulls(K, depth))
 
 
-def _image_cylinders(K: DigitSet, depth: int) -> Iterator[ImageCylinder]:
-    """The depth-n cylinders, depth-first in lexicographic order, in integers.
+def image_hulls(K: DigitSet, depth: int) -> Iterator[tuple]:
+    """(word, inf, sup, diameter) of the depth-n image cylinders, unbudgeted,
+    in the order of ``enumerate_image_cylinders``.
 
     With inf = a/D and sup = b/D, the word with head value m/2^A (A its
     digit sum) has the hull [mD + a, mD + b] / (2^A D) at even n and
-    [mD - b, mD - a] / (2^A D) at odd n.  Appending digit k to a length-j
-    word gives m 2^k + 2 (-1)^j and A + k.  The diameter is (b - a) /
-    (2^A D), kept per A.
+    [mD - b, mD - a] / (2^A D) at odd n: one integer check orders them all.
+    Appending digit k to a length-j word gives m 2^k + 2 (-1)^j and A + k.
+    The diameter is (b - a) / (2^A D), kept per A.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     inf0, sup0 = image_inf(K), image_sup(K)
     den = lcm(inf0.denominator, sup0.denominator)
     a, b = int(inf0 * den), int(sup0 * den)
     c_lo, c_hi = (a, b) if depth % 2 == 0 else (-b, -a)
+    if not c_lo < c_hi:
+        raise ValueError(f"image hulls need inf < sup, got [{inf0}, {sup0}]")
     diameters: dict[int, Fraction] = {}  # digit sum -> its one diameter
     stack = [((), 0, 0)]  # (word, m, A); O(depth S) entries at a time
     while stack:
         word, m, total = stack.pop()
         if len(word) == depth:
             base, scale = m * den, den << total
-            hull = RationalInterval(Fraction(base + c_lo, scale), Fraction(base + c_hi, scale))
             if (diameter := diameters.get(total)) is None:
                 diameter = diameters[total] = Fraction(b - a, scale)
-            yield ImageCylinder(word, hull, diameter)
+            yield word, Fraction(base + c_lo, scale), Fraction(base + c_hi, scale), diameter
             continue
         step = -2 if len(word) % 2 else 2
         stack += [(word + (k,), (m << k) + step, total + k) for k in reversed(K.digits)]

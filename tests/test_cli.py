@@ -455,6 +455,16 @@ class TestOutputPlumbing:
         payload = json.loads(target.read_text(encoding="utf-8"))
         assert payload["command"] == "bounds"
 
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, where):
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "x.txt"
+        argv = ["construct", "--digits", "1,2", "--depth", "1", "--out", str(target)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
+
     def test_csv_out_uses_lf(self, tmp_path):
         target = tmp_path / "series.csv"
         main(

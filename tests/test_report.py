@@ -3,21 +3,25 @@ against the standard library's: ``report_json`` against ``json.dumps`` and
 ``format_record`` against a ``string.Formatter`` with the same rules."""
 
 import json
+import re
 import string
 import sys
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from enum import Enum, IntEnum
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minkdim import DyadicRational, __version__
 from minkdim.cli import COMMANDS, build_parser
 from minkdim.report import (
+    DECIMAL_SIGNIFICANT_DIGITS,
     SCHEMA_VERSION,
     _json_value,
+    _parsed,
     decimal_str,
     exact_number,
     format_record,
@@ -49,6 +53,24 @@ class TestDecimalRendering:
         # even stays
         assert decimal_str(Fraction(1234567890123455, 10**16)) == "0.123456789012346"
         assert decimal_str(Fraction(1234567890123445, 10**16)) == "0.123456789012344"
+
+    @settings(database=None, deadline=None, max_examples=300)
+    @example(Fraction(-(2**14284) + 1, 2**14284 - 3))
+    @example(Fraction(2**14284, 3**9011))
+    @given(
+        st.one_of(
+            st.fractions(),
+            st.builds(  # numerators and denominators up to 2^14284, either sign
+                Fraction,
+                st.integers(min_value=-(2**14284), max_value=2**14284),
+                st.integers(min_value=1, max_value=2**14284),
+            ),
+        )
+    )
+    def test_matches_decimal_division(self, fr):
+        with localcontext(Context(DECIMAL_SIGNIFICANT_DIGITS, ROUND_HALF_EVEN)):
+            expected = Decimal(fr.numerator) / Decimal(fr.denominator)
+        assert decimal_str(fr) == str(expected)
 
     def test_fraction_and_pair(self):
         assert fraction_str(Fraction(2, 7)) == "2/7"
@@ -197,6 +219,23 @@ class TestFormatRecord:
         oracle = _StringFormatter()
         for template, record in cases:
             assert format_record(template, record) == oracle.vformat(template, (), record)
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_command_templates_parse(self, name):
+        for template in (*COMMANDS[name].text, *COMMANDS[name].csv):
+            skeleton, fields = _parsed(template)
+            assert skeleton.count("{}") == len(fields)
+            assert all(key in template for key, _, _ in fields)
+
+    @pytest.mark.parametrize(
+        "template", ["{x!r}", "{x!s:>3}", "a {x!a}", "{x:{y}}", "{x:>{w}}", "{}", "{0}", "{0[1]}"]
+    )
+    def test_unsupported_fields_rejected(self, template):
+        with pytest.raises(ValueError, match=re.escape(repr(template))):
+            format_record(template, {"x": 1, "y": "", "w": 3})
+
+    def test_literal_braces(self):
+        assert format_record("{{{x}}} }}{{", {"x": Fraction(1, 2)}) == "{1/2} }{"
 
     def test_lookups_and_specs(self):
         record = {"x": {"k": [Fraction(1, 3), 2]}, "c": Colour.RED, "w": (1, 2)}

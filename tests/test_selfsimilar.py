@@ -20,6 +20,7 @@ from minkdim import (
     enumerate_image_cylinders,
     image_cylinder,
     image_diameter,
+    image_hulls,
     image_inf,
     image_sup,
     minkowski_enclosure,
@@ -256,3 +257,32 @@ class TestEnumeration:
             enumerate_image_cylinders(DigitSet((1, 2)), -1)
         with pytest.raises(ValueError):
             enumerate_image_cylinders(DigitSet((1, 2)), 1, budget=0)
+
+
+class TestImageHulls:
+    def test_matches_cylinders_and_closed_form(self):
+        # the cylinder objects wrap these tuples; image_cylinder is the
+        # tail-hull closed form, built word by word
+        rng = random.Random(1709)
+        for _ in range(12):
+            K = random_digit_set(rng, max_digit=9, max_size=4)
+            for depth in range(6):
+                hulls = list(image_hulls(K, depth))
+                cylinders = list(enumerate_image_cylinders(K, depth))
+                assert len(hulls) == K.size**depth
+                assert hulls == [
+                    (c.word, c.enclosure.lo, c.enclosure.hi, c.diameter) for c in cylinders
+                ]
+                for word, lo, hi, diameter in hulls:
+                    closed = image_cylinder(K, word)
+                    assert (lo, hi, diameter) == (
+                        closed.enclosure.lo, closed.enclosure.hi, closed.diameter
+                    )
+
+    def test_depth_zero_is_whole_image(self):
+        K = DigitSet((2, 5, 9))
+        assert list(image_hulls(K, 0)) == [((), image_inf(K), image_sup(K), image_diameter(K))]
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(image_hulls(DigitSet((1, 2)), -1))
