@@ -22,7 +22,6 @@ from .cf_core import (
     cf_value,
     convergents,
     cylinder_interval,
-    enumerate_cylinders,
 )
 from .minkowski_eval import (
     DyadicRational,
@@ -31,8 +30,6 @@ from .minkowski_eval import (
     minkowski_periodic,
 )
 from .selfsimilar import (
-    ImageCylinder,
-    enumerate_image_cylinders,
     image_cylinder,
     image_diameter,
     image_hulls,
@@ -73,13 +70,10 @@ __all__ = [
     "cf_value",
     "convergents",
     "cylinder_interval",
-    "enumerate_cylinders",
     "DyadicRational",
     "minkowski_enclosure",
     "minkowski_finite",
     "minkowski_periodic",
-    "ImageCylinder",
-    "enumerate_image_cylinders",
     "image_cylinder",
     "image_diameter",
     "image_hulls",

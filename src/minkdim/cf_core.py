@@ -4,9 +4,8 @@ Numbers x in (0, 1] are written x = 1/(a1 + 1/(a2 + ...)) with
 positive-integer partial quotients, here called digits.  A finite digit word
 names both a rational number and a cylinder: the interval of all x whose
 expansion starts with that word.  Restricting every digit to a finite set
-K = {k1 < ... < kS} carves a Cantor-type subset out of (0, 1]; its depth-n
-cylinders are the natural covers consumed by the dimension estimators in
-this package.
+K = {k1 < ... < kS} carves a Cantor-type subset out of (0, 1], covered at
+each depth n by its S^n depth-n cylinders.
 
 Everything here is exact: digits are ints, values are `fractions.Fraction`,
 and no floating point appears.  All values are immutable and safe to share
@@ -18,7 +17,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError
@@ -118,10 +116,6 @@ class DigitSet:
             raise ValueError("a digit set needs at least two digits")
         if len(set(self.digits)) < len(self.digits):
             raise ValueError("digits must be distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.digits)
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -254,21 +248,5 @@ def check_budget(K: DigitSet, depth: int, budget: int) -> None:
         raise ValueError("budget must be a positive integer")
     # S >= 2, so depth >= bit_length(budget) already gives S^depth > budget;
     # the power itself is slow and unprintable at such depths
-    if depth >= budget.bit_length() or K.size**depth > budget:
-        raise BudgetExceededError(f"{K.size}^{depth}", budget)
-
-
-def enumerate_cylinders(
-    K: DigitSet, depth: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[tuple[int, ...], RationalInterval]]:
-    """All S^depth depth-n cylinders over K, in lexicographic word order.
-
-    Sibling cylinders have disjoint interiors and each is nested in its
-    parent; raises BudgetExceededError at call time if S^depth exceeds the
-    budget.
-    """
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    check_budget(K, depth, budget)
-    words = product(K.digits, repeat=depth)
-    return ((word, cylinder_interval(word)) for word in words)
+    if depth >= budget.bit_length() or len(K) ** depth > budget:
+        raise BudgetExceededError(f"{len(K)}^{depth}", budget)

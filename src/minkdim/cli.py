@@ -11,12 +11,12 @@ Subcommands:
 The subcommands are the entries of one table, COMMANDS.  An entry's ``run``
 computes the command's values once and returns the report ``config``, the
 JSON ``result`` and the row records that the text and CSV outputs list; exact
-rationals stay Fractions until rendering (``construct`` builds its rows
-straight from ``selfsimilar.image_hulls``).  Only the format named by
---format is rendered: JSON through ``report.report_json``, text and CSV
-through the entry's templates (a head line, one line per row record and, for
-text, an optional foot), which ``report.format_record`` parses once and fills
-from the config, the result and the row.
+rationals stay Fractions until rendering.  ``construct`` builds its rows
+straight from ``selfsimilar.image_hulls``, which owns its budget check.  Only
+the format named by --format is rendered: JSON through ``report.report_json``,
+text and CSV through the entry's templates (a head line, one line per row
+record and, for text, an optional foot), which ``report.format_record``
+parses once and fills from the config, the result and the row.
 
 Every subcommand accepts --format {text,json,csv} and --out PATH; moran,
 verdict and empirical take --tol, and empirical and construct take
@@ -38,7 +38,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from . import __version__, cf_core, dim_bounds, empirical_dim, moran_solver
+from . import __version__, dim_bounds, empirical_dim, moran_solver
 from .cf_core import (
     DEFAULT_BUDGET,
     ContinuedFraction,
@@ -193,12 +193,12 @@ def _empirical(args) -> Records:
 
 def _construct(args) -> Records:
     K = parse_digit_spec(args.digits)
-    cf_core.check_budget(K, args.depth, args.budget)  # exit 3 before the digit-sum check
+    hulls = image_hulls(K, args.depth, args.budget)  # budget (exit 3) before digit sum
     if (total := K.digits[-1] * (args.depth + 2)) > MAX_DIGIT_SUM:  # + the hull's period
         raise ValueError(f"exact values too large: digit sum {total} exceeds {MAX_DIGIT_SUM}")
     rows = [
         {"word": word, "inf": inf, "sup": sup, "diameter": diameter}
-        for word, inf, sup, diameter in image_hulls(K, args.depth)
+        for word, inf, sup, diameter in hulls
     ]
     config = {"digits": list(K.digits), "depth": args.depth, "budget": args.budget}
     return config, {"cylinders": rows}, rows

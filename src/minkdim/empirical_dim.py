@@ -63,7 +63,7 @@ def _log_lengths(K: DigitSet, side: Side, depth: int) -> Iterator[np.ndarray]:
     log_q, r = np.zeros(1), np.zeros(1)  # r = q_{n-1}/q_n; q_0 = 1, q_{-1} = 0
     for _ in range(depth):
         t = np.add.outer(r, digits).ravel()  # q_{n+1}/q_n = k + r
-        log_q = np.repeat(log_q, K.size)
+        log_q = np.repeat(log_q, len(K))
         log_q += np.log(t)
         r = np.reciprocal(t, out=t)
         logs = np.log1p(r)

@@ -77,17 +77,21 @@ def _field_str(value: Any, spec: str) -> str:
 def _parsed(template: str) -> tuple[str, tuple[tuple[str, tuple, str], ...]]:
     """A skeleton with "{}" per field, and each field's (key, lookups, spec):
     ``lookups`` are (is_attribute, name) steps, split as ``str.format`` splits
-    them ("[0]" is an int).  Conversions, nested and positional fields raise."""
+    them ("[0]" is an int).  Conversions, nested and positional fields raise,
+    as does a malformed template; each error names the template."""
     skeleton, fields = [], []
-    for literal, name, spec, conversion in string.Formatter().parse(template):
-        skeleton.append(literal.replace("{", "{{").replace("}", "}}"))
-        if name is None:
-            continue
-        key, lookups = formatter_field_name_split(name)
-        if conversion is not None or "{" in spec or not (isinstance(key, str) and key):
-            raise ValueError(f"unsupported field {{{name}}} in template {template!r}")
-        skeleton.append("{}")
-        fields.append((key, tuple(lookups), spec))
+    try:
+        for literal, name, spec, conversion in string.Formatter().parse(template):
+            skeleton.append(literal.replace("{", "{{").replace("}", "}}"))
+            if name is None:
+                continue
+            key, lookups = formatter_field_name_split(name)
+            if conversion is not None or "{" in spec or not (isinstance(key, str) and key):
+                raise ValueError(f"unsupported field {{{name}}}")
+            skeleton.append("{}")
+            fields.append((key, tuple(lookups), spec))
+    except ValueError as exc:
+        raise ValueError(f"{exc} in template {template!r}") from None
     return "".join(skeleton), tuple(fields)
 
 

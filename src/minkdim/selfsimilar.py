@@ -15,14 +15,11 @@ exact `fractions.Fraction`:
   * image cylinders: the exact hull of the image points with a given digit
     head, whose diameters contract by 2^-k per appended digit k.  A whole
     depth is enumerated in integers: every hull endpoint is an integer over
-    2^(digit sum) times the common denominator of inf and sup.  The
-    diameter is stored with each cylinder; a depth has one per digit sum,
-    image_diameter / 2^(digit sum), built once and shared by its cylinders.
+    2^(digit sum) times the common denominator of inf and sup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Sequence
@@ -36,20 +33,6 @@ from .cf_core import (
     check_budget,
 )
 from .minkowski_eval import _tail_hull, minkowski_periodic
-
-
-@dataclass(frozen=True)
-class ImageCylinder:
-    """One construction piece of the image set, with its exact hull.
-
-    ``diameter`` is stored, equal to ``enclosure.length``: by
-    self-similarity it depends only on the digit sum of ``word``, so an
-    enumerated depth builds it once per digit sum.
-    """
-
-    word: tuple[int, ...]
-    enclosure: RationalInterval
-    diameter: Fraction
 
 
 def image_sup(K: DigitSet) -> Fraction:
@@ -112,41 +95,40 @@ def tail_set_diameter(K: DigitSet, rank: int = 0) -> Fraction:
     return tail_set_sup(K, rank) - tail_set_inf(K, rank)
 
 
-def image_cylinder(K: DigitSet, word: Sequence[int]) -> ImageCylinder:
+def image_cylinder(K: DigitSet, word: Sequence[int]) -> RationalInterval:
     """Exact hull of the image points whose expansion starts with ``word``.
 
     The fixed head contributes its finite value; the remaining tails fill a
     copy of the full tail set scaled by 2^-(sum of word), so the hull
     endpoints are the head value plus/minus the scaled image extremes and
-    the diameter is exactly 2^-(sum of word) times the image diameter.
-    The empty word yields the hull of the whole image set.
+    its length, the cylinder's diameter, is exactly 2^-(sum of word) times
+    the image diameter.  The empty word yields the hull of the whole image
+    set.
     """
     w = _checked_digits(word)
     for d in w:
         if d not in K:
             raise ValueError(f"digit {d} is not in {K}")
-    hull = _tail_hull(w, image_inf(K), image_sup(K))
-    return ImageCylinder(w, hull, hull.length)
+    return _tail_hull(w, image_inf(K), image_sup(K))
 
 
-def enumerate_image_cylinders(
-    K: DigitSet, depth: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[ImageCylinder]:
-    """All S^depth image cylinders at the given depth, lexicographic.
+def image_hulls(K: DigitSet, depth: int, budget: int = DEFAULT_BUDGET) -> Iterator[tuple]:
+    """(word, inf, sup, diameter) of all S^depth image cylinders at the given
+    depth, in lexicographic word order.
 
-    Child enclosures are nested in their parents and siblings have disjoint
+    Child hulls are nested in their parents and siblings have disjoint
     interiors; the union at each depth covers the image set.  Depth 0 yields
-    the single whole-image hull.  Budget violations raise at call time.
+    the single whole-image hull.  Depth and budget violations raise at call
+    time; no exact value is built before the first ``next()``.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     check_budget(K, depth, budget)
-    return (ImageCylinder(w, RationalInterval(*h), d) for w, *h, d in image_hulls(K, depth))
+    return _hull_walk(K, depth)
 
 
-def image_hulls(K: DigitSet, depth: int) -> Iterator[tuple]:
-    """(word, inf, sup, diameter) of the depth-n image cylinders, unbudgeted,
-    in the order of ``enumerate_image_cylinders``.
+def _hull_walk(K: DigitSet, depth: int) -> Iterator[tuple]:
+    """The integer walk behind ``image_hulls``.
 
     With inf = a/D and sup = b/D, the word with head value m/2^A (A its
     digit sum) has the hull [mD + a, mD + b] / (2^A D) at even n and
@@ -154,8 +136,6 @@ def image_hulls(K: DigitSet, depth: int) -> Iterator[tuple]:
     Appending digit k to a length-j word gives m 2^k + 2 (-1)^j and A + k.
     The diameter is (b - a) / (2^A D), kept per A.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     inf0, sup0 = image_inf(K), image_sup(K)
     den = lcm(inf0.denominator, sup0.denominator)
     a, b = int(inf0 * den), int(sup0 * den)

@@ -73,8 +73,8 @@ def test_c04_exact_geometry():
         assert image_sup(K) == Fraction(6, 7)
         assert image_inf(K) == Fraction(2, 7)
         assert image_diameter(K) == Fraction(4, 7)
-        assert image_cylinder(K, (1,)).diameter == Fraction(2, 7)
-        assert image_cylinder(K, (2,)).diameter == Fraction(1, 7)
+        assert image_cylinder(K, (1,)).length == Fraction(2, 7)
+        assert image_cylinder(K, (2,)).length == Fraction(1, 7)
 
 
 def test_c05_tail_set_rank_independence():
@@ -94,7 +94,7 @@ def test_c06_ratio_law_property():
             k = rng.choice(K.digits)
             parent = image_cylinder(K, word)
             child = image_cylinder(K, word + (k,))
-            assert child.diameter / parent.diameter == Fraction(1, 2**k)
+            assert child.length / parent.length == Fraction(1, 2**k)
 
 
 def test_c07_well_definedness_and_monotonicity():

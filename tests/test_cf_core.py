@@ -7,11 +7,11 @@ Horner folding, and the convergent recurrence run by hand in the tests.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from minkdim import (
-    BudgetExceededError,
     ContinuedFraction,
     DigitSet,
     RationalInterval,
@@ -21,7 +21,6 @@ from minkdim import (
     cf_value,
     convergents,
     cylinder_interval,
-    enumerate_cylinders,
 )
 
 
@@ -89,7 +88,7 @@ class TestTypes:
         assert DigitSet((2, 1)) == DigitSet((1, 2))  # stored sorted
         K = DigitSet((9, 1, 4))
         assert K.digits == (1, 4, 9)
-        assert K.size == 3
+        assert len(K) == 3
         assert 4 in K and 5 not in K
 
     def test_rational_interval(self):
@@ -258,45 +257,41 @@ class TestCylinders:
             assert parent.contains_interval(child)
 
 
+def depth_cylinders(K: DigitSet, depth: int) -> list:
+    """(word, cylinder) for every depth-n word over K, lexicographic."""
+    return [(w, cylinder_interval(w)) for w in product(K.digits, repeat=depth)]
+
+
 class TestEnumeration:
     def test_counts(self):
-        assert len(list(enumerate_cylinders(DigitSet((1, 2)), 1))) == 2
-        assert len(list(enumerate_cylinders(DigitSet(tuple(range(1, 10))), 2))) == 81
+        assert len(depth_cylinders(DigitSet((1, 2)), 1)) == 2
+        assert len(depth_cylinders(DigitSet(tuple(range(1, 10))), 2)) == 81
 
     def test_lexicographic_order_and_agreement(self):
-        K = DigitSet((1, 3, 4))
-        items = list(enumerate_cylinders(K, 2))
+        # the endpoints are the values of the word and of the word with its
+        # last digit raised by one: p_n/q_n and (p_n + p_{n-1})/(q_n + q_{n-1})
+        items = depth_cylinders(DigitSet((1, 3, 4)), 2)
         words = [w for w, _ in items]
         assert words == sorted(words)
         for word, interval in items:
-            assert interval == cylinder_interval(word)
+            raised = word[:-1] + (word[-1] + 1,)
+            ends = {cf_value(ContinuedFraction(word)), cf_value(ContinuedFraction(raised))}
+            assert {interval.lo, interval.hi} == ends
 
     def test_sibling_interiors_disjoint(self):
-        items = list(enumerate_cylinders(DigitSet((1, 2, 3)), 3))
-        intervals = [iv for _, iv in items]
+        intervals = [iv for _, iv in depth_cylinders(DigitSet((1, 2, 3)), 3)]
         for i, a in enumerate(intervals):
             for b in intervals[i + 1 :]:
                 assert a.interior_disjoint(b)
 
     def test_nested_in_parent(self):
         K = DigitSet((1, 2, 5))
-        parents = {w: iv for w, iv in enumerate_cylinders(K, 2)}
-        for word, child in enumerate_cylinders(K, 3):
+        parents = dict(depth_cylinders(K, 2))
+        for word, child in depth_cylinders(K, 3):
             assert parents[word[:2]].contains_interval(child)
 
     def test_depth2_total_length(self):
         # four exact lengths: 1/6 + 1/12 + 1/15 + 1/35 = 29/84
-        total = sum(iv.length for _, iv in enumerate_cylinders(DigitSet((1, 2)), 2))
+        total = sum(iv.length for _, iv in depth_cylinders(DigitSet((1, 2)), 2))
         assert total == Fraction(29, 84)
         assert total < 1
-
-    def test_budget_raised_eagerly(self):
-        K = DigitSet((1, 2))
-        with pytest.raises(BudgetExceededError):
-            enumerate_cylinders(K, 4, budget=10)
-        with pytest.raises(BudgetExceededError):
-            enumerate_cylinders(K, 21)  # 2^21 exceeds the default budget
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            enumerate_cylinders(DigitSet((1, 2)), 0)

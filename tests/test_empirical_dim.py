@@ -9,6 +9,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,10 +19,10 @@ from minkdim import (
     Side,
     covering_root_domain,
     covering_root_image,
-    enumerate_cylinders,
-    enumerate_image_cylinders,
+    cylinder_interval,
     estimate_series,
     image_diameter,
+    image_hulls,
     jarnik_bounds,
     moran_root,
     successive_differences,
@@ -32,6 +33,11 @@ from minkdim.empirical_dim import _log_lengths
 K12 = DigitSet((1, 2))
 NINE = DigitSet(tuple(range(1, 10)))
 EPS = sys.float_info.epsilon
+
+
+def exact_lengths(K, depth):
+    """Exact lengths of the depth-n domain cylinders, lexicographic."""
+    return [cylinder_interval(w).length for w in product(K.digits, repeat=depth)]
 
 
 def oracle_bisect(lengths, iterations=80):
@@ -71,9 +77,7 @@ class TestDomain:
 
     def test_bracket_straddles(self):
         est = covering_root_domain(K12, 3)
-        lengths = [
-            float(iv.length) for _, iv in enumerate_cylinders(K12, 3)
-        ]
+        lengths = [float(length) for length in exact_lengths(K12, 3)]
         lo, hi = est.bracket
         assert lo <= est.s_hat <= hi
         assert sum(l**lo for l in lengths) > 1.0 > sum(l**hi for l in lengths)
@@ -83,9 +87,7 @@ class TestDomain:
             K = DigitSet(digits)
             totals = []
             for depth in range(1, 5):
-                totals.append(
-                    sum(iv.length for _, iv in enumerate_cylinders(K, depth))
-                )
+                totals.append(sum(exact_lengths(K, depth)))
             assert all(t < 1 for t in totals)
             assert all(a > b for a, b in zip(totals, totals[1:]))
 
@@ -189,8 +191,8 @@ class TestEngine:
         K = DigitSet(digits)
         logs = deepest_layer(K, Side.DOMAIN, depth)
         exact = [
-            math.log(iv.length.numerator) - math.log(iv.length.denominator)
-            for _, iv in enumerate_cylinders(K, depth)
+            math.log(length.numerator) - math.log(length.denominator)
+            for length in exact_lengths(K, depth)
         ]
         assert logs.size == len(exact)
         for got, want in zip(logs, exact):
@@ -203,10 +205,10 @@ class TestEngine:
         K = DigitSet(digits)
         logs = deepest_layer(K, Side.IMAGE, depth)
         whole = image_diameter(K)
-        cylinders = list(enumerate_image_cylinders(K, depth))
-        assert logs.size == len(cylinders)
-        for got, cyl in zip(logs, cylinders):
-            ratio = cyl.diameter / whole
+        diameters = [diameter for *_, diameter in image_hulls(K, depth)]
+        assert logs.size == len(diameters)
+        for got, diameter in zip(logs, diameters):
+            ratio = diameter / whole
             n = ratio.denominator.bit_length() - 1
             assert ratio == Fraction(1, 2**n)
             assert got == -math.log(2) * n

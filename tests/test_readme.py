@@ -25,7 +25,7 @@ def library_values() -> dict[str, object]:
 def test_library_example_values():
     values = library_values()
     assert values["image_sup(K)"] == Fraction(6, 7)
-    assert values["image_cylinder(K, (2, 1)).diameter"] == Fraction(1, 14)
+    assert values["image_cylinder(K, (2, 1)).length"] == Fraction(1, 14)
     finite = values["minkowski_finite(cf_from_rational(2, 3))"]
     assert finite == Fraction(3, 4) and isinstance(finite, Fraction)
     moran = values["float(moran_root(DigitSet(range(1, 10))).s)"]

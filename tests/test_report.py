@@ -228,7 +228,9 @@ class TestFormatRecord:
             assert all(key in template for key, _, _ in fields)
 
     @pytest.mark.parametrize(
-        "template", ["{x!r}", "{x!s:>3}", "a {x!a}", "{x:{y}}", "{x:>{w}}", "{}", "{0}", "{0[1]}"]
+        "template",
+        ["{x!r}", "{x!s:>3}", "a {x!a}", "{x:{y}}", "{x:>{w}}", "{}", "{0}", "{0[1]}"]
+        + ["x {a", "x }a", "{x.}"],  # malformed: raised by string.Formatter itself
     )
     def test_unsupported_fields_rejected(self, template):
         with pytest.raises(ValueError, match=re.escape(repr(template))):

@@ -17,7 +17,7 @@ from minkdim import (
     BudgetExceededError,
     ContinuedFraction,
     DigitSet,
-    enumerate_image_cylinders,
+    RationalInterval,
     image_cylinder,
     image_diameter,
     image_hulls,
@@ -29,6 +29,7 @@ from minkdim import (
     tail_set_inf,
     tail_set_sup,
 )
+from minkdim import selfsimilar
 
 
 def closed_form_sup(k1: int, k2: int) -> Fraction:
@@ -142,21 +143,20 @@ class TestImageCylinders:
         K = DigitSet((1, 2))
         c1 = image_cylinder(K, (1,))
         c2 = image_cylinder(K, (2,))
-        assert c1.diameter == Fraction(2, 7)
-        assert c2.diameter == Fraction(1, 7)
-        assert (c1.enclosure.lo, c1.enclosure.hi) == (Fraction(4, 7), Fraction(6, 7))
-        assert (c2.enclosure.lo, c2.enclosure.hi) == (Fraction(2, 7), Fraction(3, 7))
+        assert c1.length == Fraction(2, 7)
+        assert c2.length == Fraction(1, 7)
+        assert (c1.lo, c1.hi) == (Fraction(4, 7), Fraction(6, 7))
+        assert (c2.lo, c2.hi) == (Fraction(2, 7), Fraction(3, 7))
 
     def test_two_digit_example(self):
         K = DigitSet((1, 2))
-        assert image_cylinder(K, (2, 1)).diameter == Fraction(1, 14)
+        assert image_cylinder(K, (2, 1)).length == Fraction(1, 14)
 
     def test_empty_word_is_whole_image(self):
         K = DigitSet((2, 3))
         whole = image_cylinder(K, ())
-        assert whole.enclosure.lo == image_inf(K)
-        assert whole.enclosure.hi == image_sup(K)
-        assert whole.diameter == image_diameter(K)
+        assert whole == RationalInterval(image_inf(K), image_sup(K))
+        assert whole.length == image_diameter(K)
 
     def test_digit_outside_set_rejected(self):
         with pytest.raises(ValueError):
@@ -170,15 +170,14 @@ class TestImageCylinders:
             child_digit = rng.choice(K.digits)
             parent = image_cylinder(K, word)
             child = image_cylinder(K, word + (child_digit,))
-            assert child.diameter / parent.diameter == Fraction(1, 2**child_digit)
+            assert child.length / parent.length == Fraction(1, 2**child_digit)
 
     def test_scaling_against_whole_image(self):
         rng = random.Random(502)
         for _ in range(100):
             K = random_digit_set(rng)
             word = tuple(rng.choice(K.digits) for _ in range(rng.randint(1, 8)))
-            cyl = image_cylinder(K, word)
-            assert cyl.diameter == image_diameter(K) / 2 ** sum(word)
+            assert image_cylinder(K, word).length == image_diameter(K) / 2 ** sum(word)
 
     def test_periodic_points_land_in_their_cylinder(self):
         K = DigitSet((1, 3))
@@ -186,47 +185,49 @@ class TestImageCylinders:
         for _ in range(50):
             word = tuple(rng.choice(K.digits) for _ in range(4))
             value = minkowski_periodic(ContinuedFraction(word, (1, 3)))
-            assert image_cylinder(K, word).enclosure.contains(value)
+            assert image_cylinder(K, word).contains(value)
+
+
+def closed_form_hulls(K: DigitSet, depth: int) -> list[tuple]:
+    """``image_hulls``' tuples built word by word by ``image_cylinder``, whose
+    hulls come from Fraction arithmetic on the tail-hull closed form."""
+    hulls = []
+    for word in product(K.digits, repeat=depth):
+        hull = image_cylinder(K, word)
+        hulls.append((word, hull.lo, hull.hi, hull.length))
+    return hulls
 
 
 class TestEnumeration:
     def test_counts(self):
-        assert len(list(enumerate_image_cylinders(DigitSet((1, 2)), 2))) == 4
-        assert len(list(enumerate_image_cylinders(DigitSet(tuple(range(1, 10))), 1))) == 9
-        assert len(list(enumerate_image_cylinders(DigitSet((1, 2)), 0))) == 1
+        assert len(list(image_hulls(DigitSet((1, 2)), 2))) == 4
+        assert len(list(image_hulls(DigitSet(tuple(range(1, 10))), 1))) == 9
+        assert len(list(image_hulls(DigitSet((1, 2)), 0))) == 1
 
     def test_depth3_diameters(self):
         K = DigitSet((1, 2))
-        diameters = sorted(
-            (c.diameter for c in enumerate_image_cylinders(K, 3)), reverse=True
-        )
+        diameters = sorted((d for *_, d in image_hulls(K, 3)), reverse=True)
         lam = Fraction(4, 7)
-        expected = sorted(
-            (
-                lam / 2 ** (sum(word))
-                for word in product((1, 2), repeat=3)
-            ),
-            reverse=True,
-        )
+        expected = sorted((lam / 2 ** sum(w) for w in product((1, 2), repeat=3)), reverse=True)
         assert diameters == expected
         assert diameters[0] == lam / 8 and diameters[-1] == lam / 64
 
     def test_nesting_and_disjoint_siblings(self):
         K = DigitSet((1, 2, 4))
-        parents = {c.word: c for c in enumerate_image_cylinders(K, 1)}
-        children = list(enumerate_image_cylinders(K, 2))
-        for child in children:
-            assert parents[child.word[:1]].enclosure.contains_interval(child.enclosure)
-        for i, a in enumerate(children):
-            for b in children[i + 1 :]:
-                assert a.enclosure.interior_disjoint(b.enclosure)
+        parents = {w: RationalInterval(lo, hi) for w, lo, hi, _ in image_hulls(K, 1)}
+        children = [(w, RationalInterval(lo, hi)) for w, lo, hi, _ in image_hulls(K, 2)]
+        for word, child in children:
+            assert parents[word[:1]].contains_interval(child)
+        for i, (_, a) in enumerate(children):
+            for _, b in children[i + 1 :]:
+                assert a.interior_disjoint(b)
 
     def test_cover_extremes_attained(self):
         K = DigitSet((2, 3))
         for depth in (1, 2, 3):
-            cylinders = list(enumerate_image_cylinders(K, depth))
-            assert min(c.enclosure.lo for c in cylinders) == image_inf(K)
-            assert max(c.enclosure.hi for c in cylinders) == image_sup(K)
+            hulls = list(image_hulls(K, depth))
+            assert min(lo for _, lo, _, _ in hulls) == image_inf(K)
+            assert max(hi for _, _, hi, _ in hulls) == image_sup(K)
 
     def test_covering_sum_identity(self):
         for digits in [(1, 2), (1, 2, 4)]:
@@ -234,50 +235,36 @@ class TestEnumeration:
             contraction = sum(Fraction(1, 2**k) for k in K.digits)
             lam = image_diameter(K)
             for depth in range(1, 5):
-                total = sum(
-                    c.diameter / lam for c in enumerate_image_cylinders(K, depth)
-                )
+                total = sum(d / lam for *_, d in image_hulls(K, depth))
                 assert total == contraction**depth
 
     @pytest.mark.parametrize(
         "digits", [(1, 2), (1, 6), (3, 7), (2, 4, 6, 8), (1, 3), (1, 4, 5), (1, 2, 7, 9)]
     )
     def test_integer_build_matches_tail_hulls(self, digits):
-        # image_cylinder builds each hull by Fraction arithmetic on its own
         K = DigitSet(digits)
         for depth in range(7):
-            oracle = [image_cylinder(K, w) for w in product(K.digits, repeat=depth)]
-            assert list(enumerate_image_cylinders(K, depth)) == oracle
+            assert list(image_hulls(K, depth)) == closed_form_hulls(K, depth)
 
     def test_budget_and_validation(self):
-        # every error raises at call time, before the first cylinder is pulled
+        # every error raises at call time, before the first hull is pulled
         with pytest.raises(BudgetExceededError):
-            enumerate_image_cylinders(DigitSet((1, 2)), 10, budget=100)
+            image_hulls(DigitSet((1, 2)), 10, budget=100)
         with pytest.raises(ValueError):
-            enumerate_image_cylinders(DigitSet((1, 2)), -1)
+            image_hulls(DigitSet((1, 2)), -1)
         with pytest.raises(ValueError):
-            enumerate_image_cylinders(DigitSet((1, 2)), 1, budget=0)
+            image_hulls(DigitSet((1, 2)), 1, budget=0)
 
 
 class TestImageHulls:
     def test_matches_cylinders_and_closed_form(self):
-        # the cylinder objects wrap these tuples; image_cylinder is the
-        # tail-hull closed form, built word by word
         rng = random.Random(1709)
         for _ in range(12):
             K = random_digit_set(rng, max_digit=9, max_size=4)
             for depth in range(6):
                 hulls = list(image_hulls(K, depth))
-                cylinders = list(enumerate_image_cylinders(K, depth))
-                assert len(hulls) == K.size**depth
-                assert hulls == [
-                    (c.word, c.enclosure.lo, c.enclosure.hi, c.diameter) for c in cylinders
-                ]
-                for word, lo, hi, diameter in hulls:
-                    closed = image_cylinder(K, word)
-                    assert (lo, hi, diameter) == (
-                        closed.enclosure.lo, closed.enclosure.hi, closed.diameter
-                    )
+                assert len(hulls) == len(K) ** depth
+                assert hulls == closed_form_hulls(K, depth)
 
     def test_depth_zero_is_whole_image(self):
         K = DigitSet((2, 5, 9))
@@ -285,4 +272,16 @@ class TestImageHulls:
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            list(image_hulls(DigitSet((1, 2)), -1))
+            image_hulls(DigitSet((1, 2)), -1)
+
+    def test_no_exact_value_before_first_next(self, monkeypatch):
+        # the call checks only depth and budget: the digit-sum check of
+        # `construct` runs between the call and the first hull
+        def refuse(K):
+            raise AssertionError("an image extreme was built at call time")
+
+        monkeypatch.setattr(selfsimilar, "image_inf", refuse)
+        monkeypatch.setattr(selfsimilar, "image_sup", refuse)
+        hulls = image_hulls(DigitSet((1, 10**10)), 0)
+        with pytest.raises(AssertionError, match="call time"):
+            next(hulls)
