@@ -15,8 +15,9 @@ rationals stay Fractions until rendering.  ``construct`` builds its rows
 straight from ``selfsimilar.image_hulls``, which owns its budget check.  Only
 the format named by --format is rendered: JSON through ``report.report_json``,
 text and CSV through the entry's templates (a head line, one line per row
-record and, for text, an optional foot), which ``report.format_record``
-parses once and fills from the config, the result and the row.
+record and, for text, an optional foot), which ``report.format_rows`` parses
+once and fills from the config and the result, and the row lines from each
+row record, a column at a time.
 
 Every subcommand accepts --format {text,json,csv} and --out PATH; moran,
 verdict and empirical take --tol, and empirical and construct take
@@ -50,7 +51,7 @@ from .empirical_dim import Side, estimate_series, successive_differences
 from .errors import BudgetExceededError, ToleranceError
 from .minkowski_eval import minkowski_finite, minkowski_periodic
 from .moran_solver import MoranRoot, moran_root
-from .report import format_record, mpf_str, report_json
+from .report import format_record, format_rows, mpf_str, report_json
 from .selfsimilar import image_hulls
 
 EXIT_OK = 0
@@ -292,8 +293,7 @@ def _render(name: str, fmt: str, config: dict, result: dict, rows: list[dict]) -
     cmd = COMMANDS[name]
     head, line, *foot = cmd.text if fmt == "text" else cmd.csv
     scope = {**config, **result}
-    lines = [format_record(head, scope)]
-    lines += [format_record(line, {**scope, **row}) for row in rows]
+    lines = [format_record(head, scope), *format_rows(line, scope, rows)]
     if foot and len(rows) > 1:
         lines.append(format_record(foot[0], scope))
     return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 """Report rendering: decimal contract, JSON envelope, and the two renderers
 against the standard library's: ``report_json`` against ``json.dumps`` and
-``format_record`` against a ``string.Formatter`` with the same rules."""
+``format_rows`` against a ``string.Formatter`` with the same rules."""
 
 import json
 import re
@@ -25,6 +25,7 @@ from minkdim.report import (
     decimal_str,
     exact_number,
     format_record,
+    format_rows,
     fraction_str,
     mpf_str,
     report_json,
@@ -37,8 +38,9 @@ RECORD_ARGVS = [
     *golden.README_COMMANDS.values(),
     ["construct", "--digits", "1,6", "--depth", "5"],
     ["construct", "--digits", "2,3,5,8", "--depth", "3"],  # odd depth, shared digit sums
+    ["construct", "--digits", "1,6", "--depth", "0"],  # the empty word
 ]
-ARGV_IDS = [*golden.README_COMMANDS, "construct-1,6@5", "construct-2,3,5,8@3"]
+ARGV_IDS = [*golden.README_COMMANDS, "construct-1,6@5", "construct-2,3,5,8@3", "construct-1,6@0"]
 
 
 class TestDecimalRendering:
@@ -165,6 +167,34 @@ JSON_ARMS = st.fixed_dictionaries(
         ),
     }
 )
+SHARED = Fraction(-5, 3)  # one object in many cells of a table
+WORDS = st.lists(WIDE_INTS, max_size=3)  # the empty word too
+TABLE_COLUMNS = (  # each column of a table draws its cells from one of these
+    st.one_of(st.just(SHARED), st.fractions()),
+    WORDS.map(tuple),
+    st.one_of(st.just(SHARED), st.fractions(), WORDS, WORDS.map(tuple), JSON_SCALARS),
+)
+
+
+def tables(children):
+    """Lists of two or more dicts with one key set, in one key order (the
+    writer's table branch) or in an order drawn for each row (not)."""
+
+    def rows(columns: dict):
+        row = st.fixed_dictionaries(columns)
+        reordered = st.tuples(row, st.permutations(list(columns))).map(
+            lambda t: {k: t[0][k] for k in t[1]}
+        )
+        return st.one_of(
+            st.lists(row, min_size=2, max_size=5),
+            st.lists(row, min_size=2, max_size=5).map(tuple),
+            st.lists(reordered, min_size=2, max_size=5),
+        )
+
+    column = st.sampled_from([*TABLE_COLUMNS, children])
+    return st.dictionaries(st.text(max_size=4), column, max_size=4).flatmap(rows)
+
+
 JSON_TREES = st.recursive(
     JSON_SCALARS,
     lambda children: st.one_of(
@@ -172,6 +202,7 @@ JSON_TREES = st.recursive(
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(st.text(max_size=4), children, max_size=4),
         JSON_ARMS,
+        tables(children),
     ),
     max_leaves=24,
 )
@@ -184,6 +215,11 @@ class TestJsonWriter:
         assert report_json(argv[0], config, result) == dumps_report(argv[0], config, result)
 
     @settings(database=None, deadline=None, max_examples=300)
+    @example(  # a table with shared and per-row cells, and one that is not
+        {},
+        [{"w": (), "x": SHARED}, {"w": (1, 2), "x": SHARED}, {"w": [True], "x": 1.5}],
+        [{"a": SHARED, "b": ()}, {"b": (), "a": SHARED}],
+    )
     @given(JSON_TREES, JSON_TREES, JSON_ARMS)
     def test_matches_json_dumps(self, config, tree, arms):
         result = {"tree": tree, "arms": arms}  # every example holds every arm
@@ -207,6 +243,22 @@ class _StringFormatter(string.Formatter):
         return format(value, spec)
 
 
+class Sevenths:
+    """A lookup target whose property builds a new Fraction on every read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    @property
+    def value(self):
+        return Fraction(self.n, 7)
+
+
+def oracle_lines(template, scope, rows):
+    oracle = _StringFormatter()
+    return [oracle.vformat(template, (), {**scope, **row}) for row in rows]
+
+
 class TestFormatRecord:
     @pytest.mark.parametrize("argv", RECORD_ARGVS, ids=ARGV_IDS)
     @pytest.mark.parametrize("fmt", ["text", "csv"])
@@ -214,11 +266,30 @@ class TestFormatRecord:
         config, result, rows = command_records(argv)
         scope = {**config, **result}
         head, line, *foot = getattr(COMMANDS[argv[0]], fmt)
-        cases = [(head, scope), *((line, {**scope, **row}) for row in rows)]
-        cases += [(template, scope) for template in foot]
-        oracle = _StringFormatter()
-        for template, record in cases:
-            assert format_record(template, record) == oracle.vformat(template, (), record)
+        assert format_rows(line, scope, rows) == oracle_lines(line, scope, rows)
+        for template in (head, *foot):
+            assert format_record(template, scope) == oracle_lines(template, scope, [{}])[0]
+
+    def test_shared_objects_render_per_row(self):
+        # one Fraction object in several rows, beside others of equal value;
+        # a row without "w" takes the scope's
+        rows = [{"x": SHARED, "w": (1, 2)}, {"x": SHARED}, {"x": Fraction(-5, 3), "w": ()}]
+        rows += [{"x": SHARED, "w": [3]}, {"x": Fraction(1, 7), "w": (4,)}]
+        template = "{x} {x:decimal} [{w:-}] {n:>3}"
+        scope = {"n": 5, "w": (8, 9)}
+        assert format_rows(template, scope, rows) == oracle_lines(template, scope, rows)
+
+    def test_lookup_building_new_objects(self):
+        # each read of .value is a new Fraction, freed once rendered unless
+        # the renderer keeps it: an id reused by a later row must not be
+        # taken for an object already rendered
+        rows = [{"s": Sevenths(n)} for n in range(300)]
+        template = "{s.value} {s.value:decimal} {s.n}"
+        assert format_rows(template, {}, rows) == oracle_lines(template, {}, rows)
+
+    def test_no_rows_and_no_fields(self):
+        assert format_rows("{missing}", {}, []) == []
+        assert format_rows("a,{{b}}", {}, [{}, {"x": 1}]) == ["a,{b}", "a,{b}"]
 
     @pytest.mark.parametrize("name", COMMANDS)
     def test_command_templates_parse(self, name):
