@@ -22,6 +22,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -40,7 +41,12 @@ class Side(Enum):
 
 @dataclass(frozen=True)
 class CoveringEstimate:
-    """Root of the depth-n covering sum, with solver diagnostics."""
+    """Root of the depth-n covering sum, with solver diagnostics.
+
+    ``bracket`` is the solver's live bracket at return, certified to hold the
+    root, but its far end is often 1.0: it is no precision measure;
+    ``sum_at_root`` is.
+    """
 
     side: Side
     depth: int
@@ -74,27 +80,24 @@ def _log_lengths(K: DigitSet, side: Side, depth: int) -> Iterator[np.ndarray]:
 def _solve_covering(logs: np.ndarray, target: float) -> tuple[float, float, tuple[float, float]]:
     """Root of g(s) = log(sum(exp(s * logs))) = 0, polished to |g| <= target.
 
-    g' is a weighted mean of the logs, so unlike the sum's slope it cannot underflow.
+    g' is a weighted mean of the logs, so unlike the sum's slope it cannot
+    underflow.  g and g' at the same s (every Newton step) share one pass.
     """
     scratch = np.empty_like(logs)
 
-    def shifted(s: float) -> float:  # exp(s * logs - top) into scratch; returns top
+    @lru_cache(maxsize=1)
+    def sums(s: float) -> tuple[float, float]:
         np.multiply(logs, s, out=scratch)
         top = scratch.max()
         np.subtract(scratch, top, out=scratch)
-        np.exp(scratch, out=scratch)
-        return top
-
-    def g(s: float) -> float:
-        return float(shifted(s) + np.log(scratch.sum()))
-
-    def g_prime(s: float) -> float:
-        shifted(s)
+        np.exp(scratch, out=scratch)  # exp(s * logs - top)
         total = scratch.sum()
         np.multiply(scratch, logs, out=scratch)
-        return float(scratch.sum() / total)
+        return float(top + np.log(total)), float(scratch.sum() / total)
 
-    s, res, _, bracket = bisect_newton(g, g_prime, 0.0, 1.0, residual_target=target)
+    s, res, _, bracket = bisect_newton(
+        lambda s: sums(s)[0], lambda s: sums(s)[1], 0.0, 1.0, residual_target=target
+    )
     return s, math.exp(res), (float(bracket[0]), float(bracket[1]))
 
 

@@ -8,14 +8,15 @@ by 2^-k per digit k, so the equation specializes to
     sum_{k in K} 2^(-k s) = 1,
 
 whose left side falls strictly from S at s = 0 to sum 2^-k < 1 at s = 1.
-The root is located by bisection to a narrow bracket and polished with
-Newton steps (f'(s) = -ln 2 * sum k 2^(-k s)).  Both sums come from one
-pass of ``_moran_sums``: one mpmath power for the leading term 2^(-k1 s),
-whose exponent never underflows, times a sum of powers of x = 2^-s in
-Python-integer fixed point with enough guard bits for the working
-precision.  Results are deterministic bit-for-bit and accurate far beyond
-the requested tolerance -- identities like root(c*K) = root(K)/c then hold
-to working precision, not just to tolerance.
+The root is found by Newton steps (f'(s) = -ln 2 * sum k 2^(-k s)) from
+the bracket's midpoint on, safeguarded by bisection; f is convex, so a
+Newton step from the left of the root never passes it.  Both sums come
+from one pass of ``_moran_sums``: one mpmath power for the leading term
+2^(-k1 s), whose exponent never underflows, times a sum of powers of
+x = 2^-s in Python-integer fixed point with enough guard bits for the
+working precision.  Results are deterministic bit-for-bit and accurate far
+beyond the requested tolerance -- identities like root(c*K) = root(K)/c
+then hold to working precision, not just to tolerance.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ PRECISION_BITS = 128  # working precision for all solver arithmetic
 MIN_TOLERANCE = 2.0**-50  # tol must lie in [MIN_TOLERANCE, MAX_TOLERANCE]
 MAX_TOLERANCE = 1e-3
 DEFAULT_TOLERANCE = 1e-12
-BISECT_WIDTH = 2.0**-20  # bracket width handed from bisection to Newton
-MAX_NEWTON = 64  # Newton steps allowed after bisection
+MAX_STEPS = 85  # evaluations allowed after the bracket's two endpoints
 _RESIDUAL_BITS = 100  # Newton polishes |f(s) - 1| below 2^-100
 
 
@@ -49,7 +49,10 @@ class MoranRoot:
     """The solved root s in (0, 1) with solver diagnostics.
 
     ``residual`` is |f(s) - 1| at return; ``iterations`` counts function
-    evaluations; ``bracket`` endpoints straddle the root.
+    evaluations; ``bracket`` is the solver's live bracket at return,
+    certified f(lo) >= 1 >= f(hi).  Newton reaches the root from one side,
+    so its far end is often the starting bracket's end (``[0.99857786...,
+    1.0]`` for {1..9}): it is no precision measure, ``residual`` is.
     """
 
     s: Any  # mpmath.mpf
@@ -130,39 +133,48 @@ def _moran_sums(K: DigitSet, s, prec: int) -> tuple[mpf, mpf]:
 def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):
     """Root of a decreasing h on the closed bracket [lo, hi]: h(lo) >= 0 >= h(hi).
 
-    One loop evaluates h, stops as soon as |h| <= residual_target, narrows
-    the bracket and steps: to the bracket's midpoint until it is BISECT_WIDTH
-    wide, then by Newton (clamped to the live bracket, falling back to its
-    midpoint).  Works unchanged over floats and mpmath floats.  An endpoint
-    value that rounds to zero still brackets: the loop starts at the midpoint
-    and converges to a point that meets the target.
+    Newton, safeguarded by bisection.  One loop starts at the bracket's
+    midpoint, evaluates h, stops as soon as |h| <= residual_target, narrows
+    the bracket to the side the sign names and steps to the Newton point
+    s - h(s)/h'(s) when it lies strictly inside the live bracket, else to
+    the midpoint (so a zero slope or a non-finite Newton point bisects).
+    Works unchanged over floats and mpmath floats.  An endpoint value that
+    rounds to zero still brackets: the loop converges to a point that meets
+    the target.
 
-    Returns (root, h(root), evaluations, bracket), the residual signed.
-    Raises ToleranceError if h(lo) >= 0 >= h(hi) fails at working precision
-    or if the target is unreachable within MAX_NEWTON steps.
+    Both callers' h are convex as well as decreasing, which makes Newton
+    safe from the first step: the tangent lies below a convex h, so from a
+    point with h > 0 the Newton point has h >= 0 again and climbs
+    monotonically to the root, and from a point with h < 0 one Newton step
+    lands left of the root.  The safeguard only fires while a step from the
+    right lands outside the bracket, or when rounding breaks the argument.
+
+    Returns (root, h(root), evaluations, bracket), the residual signed; the
+    bracket is the live one at return, so it certifies the root but its far
+    end may still be an end of [lo, hi]: it is no precision measure, the
+    residual is.  Raises ToleranceError if h(lo) >= 0 >= h(hi) fails at
+    working precision or if the target is unreachable within MAX_STEPS
+    evaluations after the two endpoints.
     """
     h_lo, h_hi = h(lo), h(hi)
-    iterations = 2
     if not (h_lo >= 0 >= h_hi):
         prec = mp.prec if isinstance(h_lo, mpf) else 53  # mpf, or float64
         raise ToleranceError(
             f"h({lo}) = {h_lo} and h({hi}) = {h_hi} at {prec}-bit precision: "
             f"[{lo}, {hi}] does not bracket the root"
         )
-    s, newton_steps = (lo + hi) / 2, 0
-    while newton_steps <= MAX_NEWTON:
+    s = (lo + hi) / 2
+    for iterations in range(3, MAX_STEPS + 3):
         res = h(s)
-        iterations += 1
         if abs(res) <= residual_target:
             return s, res, iterations, (lo, hi)
-        wide = hi - lo > BISECT_WIDTH  # judged before this evaluation narrows it
         if res > 0:
             lo = s
         else:
             hi = s
-        newton_steps += not wide
-        s_next = (lo + hi) / 2 if wide else s - res / h_prime(s)
-        if not (lo < s_next < hi):
+        slope = h_prime(s)
+        s_next = s - res / slope if slope else lo  # lo is not inside: bisect
+        if not (lo < s_next < hi):  # also catches a NaN Newton point
             s_next = (lo + hi) / 2
         if s_next == s:  # no representable progress at this precision
             break
@@ -181,8 +193,8 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
     accepted tol.  Monotonicity plus the endpoint values f(0) = S > 1 >= f(hi)
     guarantee existence and uniqueness in (0, hi], where hi = min(1,
     ceil(log2 S)/k1) (rounded up): f(hi) <= S 2^(-k1 hi) <= 1.  For huge k1
-    the root lies near 1/k1, far below the bisection width, and this bracket
-    is what Newton narrows.
+    the root lies near 1/k1, so the search starts in this bracket, not in
+    [0, 1].
     """
     check_tolerance(tol)
     # h and h' at the same point (every Newton step) share one pass

@@ -17,9 +17,11 @@ from minkdim import (
     BudgetExceededError,
     DigitSet,
     Side,
+    bisect_newton,
     covering_root_domain,
     covering_root_image,
     cylinder_interval,
+    empirical_dim,
     estimate_series,
     image_diameter,
     image_hulls,
@@ -151,6 +153,26 @@ class TestSeries:
         series = estimate_series(NINE, (3, 4), Side.DOMAIN)
         for est in series:
             assert b.lower < est.s_hat < b.upper
+
+    @pytest.mark.parametrize(
+        "K, depths, side", [(NINE, range(1, 6), Side.DOMAIN), (K12, range(1, 14), Side.IMAGE)]
+    )
+    def test_newton_from_the_first_step(self, monkeypatch, K, depths, side):
+        # counts evaluations of g, not time: at most 10 per root
+        counts = []
+
+        def counting(h, h_prime, lo, hi, **kwargs):
+            counts.append(0)
+
+            def counted(s):
+                counts[-1] += 1
+                return h(s)
+
+            return bisect_newton(counted, h_prime, lo, hi, **kwargs)
+
+        monkeypatch.setattr(empirical_dim, "bisect_newton", counting)
+        estimate_series(K, depths, side)
+        assert len(counts) == len(depths) and max(counts) <= 10
 
     def test_budget_checked_upfront(self):
         with pytest.raises(BudgetExceededError):

@@ -95,6 +95,10 @@ class TestMoranRoot:
         r4 = moran_root(DigitSet((1, 2, 3, 4))).s
         assert r2 < r3 < r4
 
+    def test_newton_from_the_first_step(self):
+        # the two ends, the midpoint, then Newton steps
+        assert moran_root(NINE).iterations <= 12
+
     def test_deterministic(self):
         a = moran_root(NINE)
         b = moran_root(NINE)
@@ -159,6 +163,20 @@ class TestBisectNewton:
 
         s, res, _, _ = bisect_newton(h, lambda s: -2.0 * s, 0.0, 1.0, residual_target=1e-9)
         assert res == h(s) < 0
+
+    @pytest.mark.parametrize("num", [float, mpf])
+    def test_zero_slope_takes_the_midpoint(self, num):
+        # h falls through an inflection at the first point, 1/2, where h' = 0
+        half = num(1) / 2
+        s, res, _, (lo, hi) = bisect_newton(
+            lambda s: -((s - half) ** 3) - num("0.01"),
+            lambda s: -3 * (s - half) ** 2,
+            num(0),
+            num(1),
+            residual_target=1e-12,
+        )
+        assert abs(res) <= 1e-12 and lo <= s <= hi
+        assert abs(s - (half - num("0.01") ** (num(1) / 3))) <= 1e-10
 
     def test_unreachable_target_raises(self):
         with pytest.raises(ToleranceError):
@@ -228,7 +246,7 @@ class TestMoranSumsKernel:
 
 class TestExtremeDigitSets:
     def test_least_digit_past_the_bisection_width(self):
-        # the root lies near 1/k1, far below the bisection's 2^-20
+        # the root lies near 1/k1, below any fixed absolute bracket width
         for digits in [(10**25, 10**25 + 1), (10**30, 10**30 + 1, 10**31)]:
             K = DigitSet(digits)
             root = moran_root(K)
@@ -241,6 +259,22 @@ class TestExtremeDigitSets:
     def test_huge_gap_keeps_its_root(self):
         root = moran_root(DigitSet((1, 10**400)))
         assert mp.nstr(root.s, 19) == "1.976004286301269342e-39"
+
+    @pytest.mark.parametrize(
+        "k1, N", [(1, 10**15), (2, 10**16), (1, 10**16), (1, 10**20), (2, 10**30)]
+    )
+    def test_right_or_tolerance_error(self, k1, N):
+        # {k1, N}: 2^(-k1 s) = 1 - k1 s ln 2 + O(s^2) turns the equation into
+        # t e^t = N/k1 for t = N s ln 2, so s = W(N/k1)/(N ln 2) to relative
+        # O(s).  The step ceiling must not let a root that is still far off
+        # through: these either answer right or raise.
+        try:
+            root = moran_root(DigitSet((k1, N)))
+        except ToleranceError:
+            return
+        with mp.workprec(256):
+            oracle = mp.lambertw(mpf(N) / k1) / (N * mp.ln2)
+            assert abs(root.s / oracle - 1) <= 1e-9
 
 
 class TestMoranRootProperties:
