@@ -6,14 +6,13 @@ the covers are the continued-fraction cylinders of the restricted set, of
 length 1/(q_n (q_n + q_{n-1})), and the per-depth roots are reported, not
 extrapolated.  On the image side they are the image cylinders, of normalized
 diameter exactly 2^-(digit sum); the sum factorizes as (sum_k 2^(-k s))^n, so
-the root equals the Moran root at every depth -- a cross-check of two solvers.
+the depth-1 sum is solved once: its root, the Moran root, serves every depth.
 
-``_log_lengths`` builds the float64 log lengths of each depth from the last
-with numpy, in lexicographic word order: the domain side carries (log q_n,
-q_{n-1}/q_n), so nothing overflows, the image side the digit sums.  One
-solver finds the root of logsumexp(s * log lengths) = 0, so no power
-underflows, with pairwise sums in that fixed order (bit-reproducible runs).
-Logs outside the float64 range raise ToleranceError.
+``_log_lengths`` builds the float64 log domain lengths of each depth from the
+last with numpy, in lexicographic word order, carrying (log q_n, q_{n-1}/q_n)
+so nothing overflows.  One solver finds the root of logsumexp(s * log lengths)
+= 0, so no power underflows, with pairwise sums in that fixed order
+(bit-reproducible runs).  Logs outside the float64 range raise ToleranceError.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ class CoveringEstimate:
 
     ``bracket`` is the solver's live bracket at return, certified to hold the
     root, but its far end is often 1.0: it is no precision measure;
-    ``sum_at_root`` is.
+    ``sum_at_root`` is.  On the image side ``tol`` bounds the depth-1 sum, and
+    ``sum_at_root`` is that sum to the n-th power.
     """
 
     side: Side
@@ -57,15 +57,9 @@ class CoveringEstimate:
     wall_time_ms: float
 
 
-def _log_lengths(K: DigitSet, side: Side, depth: int) -> Iterator[np.ndarray]:
-    """Log cover lengths at depths 1..depth, each in lexicographic word order."""
+def _log_lengths(K: DigitSet, depth: int) -> Iterator[np.ndarray]:
+    """Log domain cylinder lengths at depths 1..depth, each in lexicographic word order."""
     digits = np.array(K.digits, dtype=float)
-    if side is Side.IMAGE:
-        sums = np.zeros(1)
-        for _ in range(depth):
-            sums = np.add.outer(sums, digits).ravel()
-            yield sums * -math.log(2.0)
-        return
     log_q, r = np.zeros(1), np.zeros(1)  # r = q_{n-1}/q_n; q_0 = 1, q_{-1} = 0
     for _ in range(depth):
         t = np.add.outer(r, digits).ravel()  # q_{n+1}/q_n = k + r
@@ -118,8 +112,8 @@ def covering_root_image(
 ) -> CoveringEstimate:
     """Root over depth-n image cylinders, diameters normalized by the image diameter.
 
-    Each normalized diameter is exactly 2^-(digit sum), so algebraically the
-    root equals the Moran root at every depth.
+    Each normalized diameter is exactly 2^-(digit sum), so the depth-n sum is the
+    depth-1 sum to the n-th power, whose root is the Moran root at every depth.
     """
     return estimate_series(K, (depth,), Side.IMAGE, tol, budget)[0]
 
@@ -133,10 +127,10 @@ def estimate_series(
 ) -> list[CoveringEstimate]:
     """One covering estimate per depth, ascending, for stability diagnostics.
 
-    The layers are built once, up to the deepest depth; each estimate's
-    ``wall_time_ms`` is the time since the previous one.  The whole series is
-    budget-checked against its deepest level up front so a long run cannot
-    fail halfway through; ``tol`` must lie in the Moran solver's range.
+    Domain layers are built once, up to the deepest depth; the image side solves
+    its depth-1 sum once.  ``wall_time_ms`` is the time since the previous
+    estimate.  Both sides check the budget at the deepest depth first, so a long
+    run cannot fail halfway.  ``tol`` must lie in the Moran solver's range.
     ToleranceError: a log left float64.
     """
     check_tolerance(tol)
@@ -151,12 +145,18 @@ def estimate_series(
     t0 = time.perf_counter()
     try:
         with np.errstate(all="raise", under="ignore"):  # exp may underflow to 0
-            for depth, logs in enumerate(_log_lengths(K, side, depth_list[-1]), 1):
-                if depth in depth_list:
-                    root = _solve_covering(logs, target)
-                    ms = (time.perf_counter() - t0) * 1e3
-                    estimates.append(CoveringEstimate(side, depth, logs.size, *root, ms))
-                    t0 = time.perf_counter()
+            if side is Side.IMAGE:  # the depth-n sum is the depth-1 sum to the n-th power
+                root = _solve_covering(np.array(K.digits, float) * -math.log(2.0), target)
+                layers = ((n, len(K) ** n, (root[0], root[1] ** n, root[2])) for n in depth_list)
+            else:
+                logs = enumerate(_log_lengths(K, depth_list[-1]), 1)
+                layers = (
+                    (n, x.size, _solve_covering(x, target)) for n, x in logs if n in depth_list
+                )
+            for depth, count, (s, total, bracket) in layers:
+                ms = (time.perf_counter() - t0) * 1e3
+                estimates.append(CoveringEstimate(side, depth, count, s, total, bracket, ms))
+                t0 = time.perf_counter()
     except (OverflowError, FloatingPointError) as exc:
         raise ToleranceError(f"covering sums leave the float64 range ({exc})") from None
     return estimates

@@ -288,6 +288,13 @@ class TestEmpiricalCommand:
         assert [row["depth"] for row in series] == [1, 2, 3]
         assert all(abs(row["s_hat"] - 1) <= 1e-10 for row in series)
 
+    def test_image_series_prints_no_depth_trend(self, capsys):
+        # one depth-1 root serves every image depth, so solver noise cannot
+        # show up as a trend
+        argv = ["empirical", "--digits", "1..60", "--side", "image", "--depths", "1..3"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "successive differences: 0.0, 0.0"
+
     @pytest.mark.parametrize("digits, depths", [("1..9", "5000"), ("1,2", "20000")])
     def test_budget_at_huge_depth(self, capsys, digits, depths):
         # both counts have more digits than int-to-str conversion allows (4,300)

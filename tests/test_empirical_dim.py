@@ -12,8 +12,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minkdim import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     DigitSet,
     Side,
@@ -143,10 +146,8 @@ class TestSeries:
         assert all(a > b for a, b in zip(odds, odds[1:]))
 
     def test_image_series_constant(self):
-        tol = 1e-10
-        series = estimate_series(K12, range(1, 7), Side.IMAGE, tol)
-        diffs = successive_differences(series)
-        assert all(abs(d) <= 10 * tol for d in diffs)
+        series = estimate_series(K12, range(1, 7), Side.IMAGE)
+        assert successive_differences(series) == [0.0] * 5
 
     def test_headline_depths_inside_interval(self):
         b = jarnik_bounds(9)
@@ -172,7 +173,8 @@ class TestSeries:
 
         monkeypatch.setattr(empirical_dim, "bisect_newton", counting)
         estimate_series(K, depths, side)
-        assert len(counts) == len(depths) and max(counts) <= 10
+        roots = 1 if side is Side.IMAGE else len(depths)  # one depth-1 root serves the image
+        assert len(counts) == roots and max(counts) <= 10
 
     def test_budget_checked_upfront(self):
         with pytest.raises(BudgetExceededError):
@@ -198,20 +200,48 @@ class TestSeries:
             covering_root_domain(K12, 2, tol=2.0**-51)
 
 
-def deepest_layer(K, side, depth):
-    *_, logs = _log_lengths(K, side, depth)
+def deepest_layer(K, depth):
+    *_, logs = _log_lengths(K, depth)
     return logs
 
 
+@st.composite
+def image_series_args(draw):
+    """2-8 digits up to 1000, depths 1..n within the default budget, a tol."""
+    K = DigitSet(draw(st.sets(st.integers(1, 1000), min_size=2, max_size=8)))
+    top = 1
+    while len(K) ** (top + 1) <= DEFAULT_BUDGET:
+        top += 1
+    tol = draw(st.sampled_from((1e-3, 1e-10, 2.0**-50)))
+    return K, range(1, draw(st.integers(1, top)) + 1), tol
+
+
+class TestImageFactorization:
+    """The image side solves its depth-1 sum once; the depth-n sum is its power."""
+
+    @settings(database=None, deadline=None, max_examples=60)
+    @given(image_series_args())
+    @example((DigitSet((29, 30, 87)), range(1, 7), 2.0**-50))
+    def test_one_root_at_every_depth(self, args):
+        K, depths, tol = args
+        series = estimate_series(K, depths, Side.IMAGE, tol)
+        assert [e.cylinder_count for e in series] == [len(K) ** n for n in depths]
+        ((s_hat, _),) = {(e.s_hat, e.bracket) for e in series}
+        assert abs(s_hat - float(moran_root(K).s)) <= tol
+        for e in series:  # the depth-1 sum to the n-th power
+            assert e.sum_at_root == pytest.approx(series[0].sum_at_root**e.depth, rel=EPS)
+
+
 class TestEngine:
-    """The float64 log-length layers against the exact Fraction enumerators."""
+    """The float64 domain layers and the image factorization against the exact
+    Fraction enumerators."""
 
     @pytest.mark.parametrize(
         "digits, depth", [((1, 2), 10), (tuple(range(1, 10)), 3), ((7, 10**6), 6)]
     )
     def test_domain_logs_match_exact_lengths(self, digits, depth):
         K = DigitSet(digits)
-        logs = deepest_layer(K, Side.DOMAIN, depth)
+        logs = deepest_layer(K, depth)
         exact = [
             math.log(length.numerator) - math.log(length.denominator)
             for length in exact_lengths(K, depth)
@@ -224,16 +254,16 @@ class TestEngine:
         "digits, depth", [((1, 2), 6), ((2, 5, 9), 3), ((100, 200), 4)]
     )
     def test_image_logs_are_exact_normalized_diameters(self, digits, depth):
+        # each normalized diameter is 2^-(digit sum), so at depth n they sum
+        # to (sum_k 2^-k)^n: the identity the image side's one solve rests on
         K = DigitSet(digits)
-        logs = deepest_layer(K, Side.IMAGE, depth)
         whole = image_diameter(K)
-        diameters = [diameter for *_, diameter in image_hulls(K, depth)]
-        assert logs.size == len(diameters)
-        for got, diameter in zip(logs, diameters):
-            ratio = diameter / whole
-            n = ratio.denominator.bit_length() - 1
-            assert ratio == Fraction(1, 2**n)
-            assert got == -math.log(2) * n
+        ratios = []
+        for word, *_, diameter in image_hulls(K, depth):
+            assert diameter / whole == Fraction(1, 2 ** sum(word))
+            ratios.append(diameter / whole)
+        assert len(ratios) == len(K) ** depth
+        assert sum(ratios) == sum(Fraction(1, 2**k) for k in digits) ** depth
 
     @pytest.mark.parametrize("side", list(Side))
     def test_series_equals_single_roots_bit_for_bit(self, side):
@@ -270,7 +300,6 @@ class TestEngine:
         [
             (f"1,{10**400}", Side.DOMAIN),
             (f"1,{10**400}", Side.IMAGE),
-            (f"1,{10**308}", Side.IMAGE),  # digit sums overflow at depth 2
         ],
     )
     def test_outside_float64_is_a_tolerance_failure(self, capsys, digits, side):
