@@ -10,14 +10,17 @@ Subcommands:
 
 The subcommands are the entries of one table, COMMANDS.  An entry's ``run``
 computes the command's values once and returns the report ``config``, the
-JSON ``result`` and the row records that the text and CSV outputs list; exact
+JSON ``result`` and the flat row records that the text and CSV outputs list,
+built beside the result from the same values (``verdict``'s row holds its
+bounds, root and outcome side by side; ``moran``'s carries the digits); exact
 rationals stay Fractions until rendering.  ``construct`` builds its rows
 straight from ``selfsimilar.image_hulls``, which owns its budget check.  Only
 the format named by --format is rendered: JSON through ``report.report_json``,
 text and CSV through the entry's templates (a head line, one line per row
 record and, for text, an optional foot), which ``report.format_rows`` parses
-once and fills from the config and the result, and the row lines from each
-row record, a column at a time.
+once.  A template names keys only: the head and foot are filled from the
+config and the result together, and the row lines from the row records alone,
+a column at a time.
 
 Every subcommand accepts --format {text,json,csv} and --out PATH; moran,
 verdict and empirical take --tol, and empirical and construct take
@@ -146,8 +149,9 @@ Records = tuple[dict[str, Any], dict[str, Any], list[dict[str, Any]]]
 def _moran(args) -> Records:
     K = parse_digit_spec(args.digits)
     root = _root_record(moran_root(K, args.tol))
-    config = {"digits": list(K.digits), "tol": args.tol}
-    return config, {"digit_set": str(K), "moran_root": root}, [root]
+    digits = list(K.digits)
+    config = {"digits": digits, "tol": args.tol}
+    return config, {"digit_set": str(K), "moran_root": root}, [{**root, "digits": digits}]
 
 
 def _bounds(args) -> Records:
@@ -158,7 +162,15 @@ def _bounds(args) -> Records:
 def _verdict(args) -> Records:
     v = preservation_verdict(args.n, args.tol)
     verdict = {**asdict(v), "image_dimension": _root_record(v.image_dimension)}
-    return {"n": args.n, "tol": args.tol}, {"verdict": verdict}, [verdict]
+    row = {
+        **verdict["bounds"],  # n, lower, upper
+        "s": verdict["image_dimension"]["s"],
+        "name": v.preserved.name,
+        "value": v.preserved.value,
+        "gap": v.gap,
+        "tol": v.tol,
+    }
+    return {"n": args.n, "tol": args.tol}, {"verdict": verdict}, [row]
 
 
 def _eval(args) -> Records:
@@ -238,16 +250,12 @@ COMMANDS: dict[str, Command] = {
         _verdict,
         text=(
             "n: {n}",
-            "dimension bounds: [{bounds[lower]}, {bounds[upper]}]\n"
-            "image dimension (Moran root): {image_dimension[s]}\n"
-            "verdict: {preserved.name}\n"
+            "dimension bounds: [{lower}, {upper}]\n"
+            "image dimension (Moran root): {s}\n"
+            "verdict: {name}\n"
             "certified gap: {gap} (tolerance {tol})",
         ),
-        csv=(
-            "n,lower,upper,moran_root,verdict,gap",
-            "{n},{bounds[lower]},{bounds[upper]},{image_dimension[s]},"
-            "{preserved.value},{gap}",
-        ),
+        csv=("n,lower,upper,moran_root,verdict,gap", "{n},{lower},{upper},{s},{value},{gap}"),
     ),
     "eval": Command(
         _eval,
@@ -293,7 +301,7 @@ def _render(name: str, fmt: str, config: dict, result: dict, rows: list[dict]) -
     cmd = COMMANDS[name]
     head, line, *foot = cmd.text if fmt == "text" else cmd.csv
     scope = {**config, **result}
-    lines = [format_record(head, scope), *format_rows(line, scope, rows)]
+    lines = [format_record(head, scope), *format_rows(line, rows)]
     if foot and len(rows) > 1:
         lines.append(format_record(foot[0], scope))
     return "\n".join(lines) + "\n"

@@ -14,9 +14,12 @@ Newton step from the left of the root never passes it.  Both sums come
 from one pass of ``_moran_sums``: one mpmath power for the leading term
 2^(-k1 s), whose exponent never underflows, times a sum of powers of
 x = 2^-s in Python-integer fixed point with enough guard bits for the
-working precision.  Results are deterministic bit-for-bit and accurate far
-beyond the requested tolerance -- identities like root(c*K) = root(K)/c
-then hold to working precision, not just to tolerance.
+working precision.  Once Newton meets its residual target, one more Newton
+step at twice the working precision, rounded back to the working one, gives
+the root rounded to nearest at 128 bits, whatever path the solver took.  So
+results are deterministic bit-for-bit, rounding noise cannot make a root
+fall when a digit is added, and identities like root(c*K) = root(K)/c hold
+to working precision, not just to tolerance.
 """
 
 from __future__ import annotations
@@ -48,11 +51,12 @@ def check_tolerance(tol: float) -> None:
 class MoranRoot:
     """The solved root s in (0, 1) with solver diagnostics.
 
-    ``residual`` is |f(s) - 1| at return; ``iterations`` counts function
-    evaluations; ``bracket`` is the solver's live bracket at return,
-    certified f(lo) >= 1 >= f(hi).  Newton reaches the root from one side,
-    so its far end is often the starting bracket's end (``[0.99857786...,
-    1.0]`` for {1..9}): it is no precision measure, ``residual`` is.
+    ``residual`` is |f(s) - 1| at s, at twice the working precision;
+    ``iterations`` counts function evaluations; ``bracket`` is the solver's
+    live bracket at return, certified f(lo) >= 1 >= f(hi).  Newton reaches
+    the root from one side, so its far end is often the starting bracket's
+    end (``[0.99857786..., 1.0]`` for {1..9}): it is no precision measure,
+    ``residual`` is.
     """
 
     s: Any  # mpmath.mpf
@@ -190,7 +194,10 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
 
     ``tol`` must lie in [MIN_TOLERANCE, MAX_TOLERANCE] (``check_tolerance``);
     the root is always polished to |f(s) - 1| <= 2^-100, so it meets every
-    accepted tol.  Monotonicity plus the endpoint values f(0) = S > 1 >= f(hi)
+    accepted tol, then rounded to nearest at PRECISION_BITS by one Newton
+    step at twice that.  The step is taken only inside the bracket: from an
+    answer too small for the absolute stop, such as {1, 10^400}'s, it leaves
+    it.  Monotonicity plus the endpoint values f(0) = S > 1 >= f(hi)
     guarantee existence and uniqueness in (0, hi], where hi = min(1,
     ceil(log2 S)/k1) (rounded up): f(hi) <= S 2^(-k1 hi) <= 1.  For huge k1
     the root lies near 1/k1, so the search starts in this bracket, not in
@@ -208,7 +215,12 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
             hi,
             residual_target=mpf(2) ** -_RESIDUAL_BITS,
         )
-    if res == 0:  # f(s) - 1 rounds to zero: report it at twice the working precision
-        with mp.workprec(2 * PRECISION_BITS):
-            res = _moran_sums(K, s, 2 * PRECISION_BITS)[0] - 1
-    return MoranRoot(s=s, residual=abs(res), iterations=iters, bracket=bracket)
+    # one Newton step at 256 bits, rounded to nearest at 128: the root to the
+    # last bit, whatever path reached it; a step leaving the bracket is not taken
+    with mp.workprec(2 * PRECISION_BITS):
+        f, weighted = _moran_sums(K, s, 2 * PRECISION_BITS)
+        s_near = mp.fadd(s, (f - 1) / (mp.ln2 * weighted), prec=PRECISION_BITS)
+        if bracket[0] <= s_near <= bracket[1]:
+            s = s_near
+        res = _moran_sums(K, s, 2 * PRECISION_BITS)[0] - 1
+    return MoranRoot(s=s, residual=abs(res), iterations=iters + 2, bracket=bracket)

@@ -8,24 +8,22 @@ command, config, result, diagnostics}.  Records keep exact rationals as
 Fractions until one format renders them.
 
 ``format_rows`` fills a text or CSV template, parsed once into a skeleton and
-its fields, for every row at once, a column at a time: each field's values
-are gathered and looked up, each column is rendered through one map, and the
-skeleton is filled from the columns.  A column of one scalar type (str, int or
-float) maps ``format`` with the field's spec.  In any other column each
-distinct object is rendered once (a diameter shared by many rows, a scope
-value repeated on every row): through ``fraction_str`` or ``decimal_str``
-when all are Fractions, the spec's join when all are lists or all tuples, and
-``_field_str`` otherwise.
+its fields, for every row at once.  A field names a row key and may carry a
+spec; it looks nothing up.  ``report_json`` writes {"exact", "decimal"} pairs
+in the layout of ``json.dumps(indent=2)``, without its pure-Python encoder.
 
-``report_json`` writes {"exact", "decimal"} pairs in the layout of
-``json.dumps(indent=2)``, without its pure-Python encoder.  Three kinds of
-value are written in one step each: str, int and float scalars; a value of
-type exactly Fraction, as its pair; and a non-empty list or tuple of items all
-of type exactly int, as one join.  A list or tuple of two or more dicts with
-one key order, and at least one key, is written as a table: one row skeleton
-from the keys, filled a column at a time by the same rules.  Types are matched
-exactly, so bool, IntEnum and other subclasses (DyadicRational among them)
-take the generic path that json.dumps spells.
+Both write a column at a time through one ``_column``: a column of one scalar
+type (str, int or float) is written straight through, and any other column
+calls the format's cells function once per distinct object (a diameter shared
+by many rows is rendered once).  Text cells are ``fraction_str`` or
+``decimal_str`` when all are Fractions, the spec's join when all are lists or
+all tuples, and ``_field_str`` otherwise.  JSON cells are a value of type
+exactly Fraction as its pair, a list or tuple of items all of type exactly int
+as one join, and dicts with one key order, and at least one key, as a table:
+one row skeleton from the keys, filled a column at a time by the same rules.
+Every JSON list is such a column.  Types are matched exactly, so bool,
+IntEnum and other subclasses (DyadicRational among them) take the generic
+path that json.dumps spells.
 """
 
 from __future__ import annotations
@@ -34,14 +32,13 @@ import functools
 import json
 import string
 import sys
-from _string import formatter_field_name_split  # string.Formatter's own splitter
 from decimal import ROUND_HALF_EVEN, Context
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from mpmath import mp
@@ -93,58 +90,48 @@ def _literal(text: str) -> str:
 
 
 @functools.cache
-def _parsed(template: str) -> tuple[str, tuple[tuple[str, tuple, str], ...]]:
-    """A skeleton with "{}" per field, and each field's (key, lookups, spec):
-    ``lookups`` are (is_attribute, name) steps, split as ``str.format`` splits
-    them ("[0]" is an int).  Conversions, nested and positional fields raise,
-    as does a malformed template; each error names the template."""
+def _parsed(template: str) -> tuple[str, tuple[tuple[str, str], ...]]:
+    """A skeleton with "{}" per field, and each field's (key, spec).  A field
+    names a row key, an identifier: lookups ("[0]", ".name"), conversions,
+    nested and positional fields raise, as does a malformed template; each
+    error names the template."""
     skeleton, fields = [], []
     try:
         for literal, name, spec, conversion in string.Formatter().parse(template):
             skeleton.append(_literal(literal))
             if name is None:
                 continue
-            key, lookups = formatter_field_name_split(name)
-            if conversion is not None or "{" in spec or not (isinstance(key, str) and key):
+            if conversion is not None or "{" in spec or not name.isidentifier():
                 raise ValueError(f"unsupported field {{{name}}}")
             skeleton.append("{}")
-            fields.append((key, tuple(lookups), spec))
+            fields.append((name, spec))
     except ValueError as exc:
         raise ValueError(f"{exc} in template {template!r}") from None
     return "".join(skeleton), tuple(fields)
 
 
-def _by_identity(
-    values: Sequence, render: Callable[[Iterable, str], Iterable[str]], arg: str
-) -> list[str]:
-    """``list(render(values, arg))``, calling ``render`` once, on each distinct
-    object of ``values`` in first-seen order.  Objects are told apart by
-    ``id``, which is sound because ``values`` keeps every one of them alive."""
+def _column(values: Sequence, cells: Callable[..., Iterable[str]], arg: str) -> list[str]:
+    """``list(cells(values, kind, arg))``, ``kind`` the type of every value or
+    None.  Scalars of one type (str, int, float) are quicker to write than to
+    tell apart; any other column is written once per distinct object, in
+    first-seen order, told apart by ``id``, which is sound because ``values``
+    keeps every one of them alive."""
+    types = {*map(type, values)}
+    kind = types.pop() if len(types) == 1 else None
+    if kind in (str, int, float):
+        return list(cells(values, kind, arg))
     ids = list(map(id, values))
     distinct = dict(zip(ids, values))
-    strs = list(render(distinct.values(), arg))
+    strs = list(cells([*distinct.values()], kind, arg))
     if len(distinct) == len(values):
         return strs
     return list(map(dict(zip(distinct, strs)).__getitem__, ids))
 
 
-def _one_type(values: Iterable) -> type | None:
-    """The type of every value, or None if they have more than one."""
-    types = {*map(type, values)}
-    return types.pop() if len(types) == 1 else None
-
-
-def _field_column(values: Sequence, spec: str) -> list[str]:
-    """``_field_str`` of each value, each distinct object once; scalars of one
-    type are quicker to write than to tell apart."""
-    if _one_type(values) in (str, int, float):
-        return list(map(format, values, repeat(spec)))
-    return _by_identity(values, _field_cells, spec)
-
-
-def _field_cells(values: Iterable, spec: str) -> Iterable[str]:
-    """``_field_str`` of each value, at C speed where the types allow."""
-    kind = _one_type(values)
+def _field_cells(values: Sequence, kind: type | None, spec: str) -> Iterable[str]:
+    """``_field_str`` of each value, at C speed where ``kind`` allows."""
+    if kind in (str, int, float):
+        return map(format, values, repeat(spec))
     if kind is Fraction:
         return map(decimal_str if spec == "decimal" else fraction_str, values)
     if kind in (list, tuple) and spec != "set":  # words joined by the spec
@@ -152,9 +139,9 @@ def _field_cells(values: Iterable, spec: str) -> Iterable[str]:
     return map(_field_str, values, repeat(spec))
 
 
-def format_rows(template: str, scope: dict[str, Any], rows: list[dict[str, Any]]) -> list[str]:
-    """``template.format_map({**scope, **row})`` for each row, with the
-    contract's renderings, built a column at a time.
+def format_rows(template: str, rows: list[dict[str, Any]]) -> list[str]:
+    """``template.format_map(row)`` for each row, with the contract's
+    renderings, built a column at a time.
 
     A Fraction field renders as "p/q", or as its decimal under the spec
     "decimal"; a list or tuple field joins its items with the spec as the
@@ -163,18 +150,13 @@ def format_rows(template: str, scope: dict[str, Any], rows: list[dict[str, Any]]
     skeleton, fields = _parsed(template)
     if not fields:
         return [skeleton.format()] * len(rows)
-    columns = []
-    for key, lookups, spec in fields:
-        column = [row[key] if key in row else scope[key] for row in rows]
-        for is_attribute, name in lookups:
-            column = list(map(attrgetter(name) if is_attribute else itemgetter(name), column))
-        columns.append(_field_column(column, spec))
+    columns = [_column([*map(itemgetter(key), rows)], _field_cells, spec) for key, spec in fields]
     return list(map(skeleton.format, *columns))
 
 
 def format_record(template: str, record: dict[str, Any]) -> str:
-    """The one line ``format_rows`` makes of ``record`` alone."""
-    return format_rows(template, record, [{}])[0]
+    """The one line ``format_rows`` makes of ``record``."""
+    return format_rows(template, [record])[0]
 
 
 def _json_value(value: Any) -> Any:
@@ -193,43 +175,26 @@ _JSON_SCALARS = {  # the bulk of a report, at C speed; json.dumps spells the res
 }
 
 
-def _pair(pad: str) -> str:
-    """Skeleton of exact_number's pair written ``pad`` deep; its strings need
-    no escapes."""
+def _json_cells(values: Sequence, kind: type | None, pad: str) -> Iterable[str]:
+    """``_json_text`` of each value, ``pad`` deep, at C speed where ``kind``
+    allows.  Dicts with one key order, and at least one key, are a table: one
+    row skeleton from the keys, filled a column at a time."""
     inner = pad + "  "
-    return f'{{{{\n{inner}"exact": "{{}}",\n{inner}"decimal": "{{}}"\n{pad}}}}}'
-
-
-def _json_column(values: Sequence, pad: str) -> list[str]:
-    """``_json_text`` of each value, ``pad`` deep, each distinct object once;
-    scalars of one type are quicker to write than to tell apart."""
-    if (encode := _JSON_SCALARS.get(_one_type(values))) is not None:
-        return list(map(encode, values))
-    return _by_identity(values, _json_cells, pad)
-
-
-def _json_cells(values: Iterable, pad: str) -> Iterable[str]:
-    """``_json_text`` of each value, ``pad`` deep, at C speed where the types
-    allow."""
-    kind = _one_type(values)
-    if kind is Fraction:
-        return map(_pair(pad).format, map(fraction_str, values), map(decimal_str, values))
+    if (encode := _JSON_SCALARS.get(kind)) is not None:
+        return map(encode, values)
+    if kind is Fraction:  # exact_number's pair; its strings need no escapes
+        pair = f'{{{{\n{inner}"exact": "{{}}",\n{inner}"decimal": "{{}}"\n{pad}}}}}'
+        return map(pair.format, map(fraction_str, values), map(decimal_str, values))
     if kind in (list, tuple) and {*map(type, chain.from_iterable(values))} <= {int}:
-        inner = pad + "  "
         joined = map(f",\n{inner}".join, map(map, repeat(int.__repr__), values))
         return [f"[\n{inner}{items}\n{pad}]" if items else "[]" for items in joined]
+    if kind is dict and len(keys := {*map(tuple, values)}) == 1 and (key_order := keys.pop()):
+        row = "{{\n" + ",\n".join(
+            _literal(f"{inner}{encode_basestring_ascii(k)}: ") + "{}" for k in key_order
+        ) + f"\n{pad}}}}}"
+        columns = [_column(c, _json_cells, inner) for c in zip(*map(dict.values, values))]
+        return map(row.format, *columns)
     return map(_json_text, values, repeat(pad))
-
-
-def _json_table(rows: Sequence[dict], pad: str) -> list[str]:
-    """``_json_text`` of each of ``rows``, dicts with one key order, ``pad``
-    deep: one row skeleton from the keys, filled a column at a time."""
-    cell = pad + "  "
-    row = "{{\n" + ",\n".join(
-        _literal(f"{cell}{encode_basestring_ascii(k)}: ") + "{}" for k in rows[0]
-    ) + f"\n{pad}}}}}"
-    columns = [_json_column(c, cell) for c in zip(*map(dict.values, rows))]
-    return list(map(row.format, *columns))
 
 
 def _json_text(value: Any, pad: str = "") -> str:
@@ -238,24 +203,16 @@ def _json_text(value: Any, pad: str = "") -> str:
     if (encode := _JSON_SCALARS.get(type(value))) is not None:
         return encode(value)
     inner = pad + "  "
-    if type(value) is Fraction:
-        return _pair(pad).format(fraction_str(value), decimal_str(value))
     if isinstance(value, dict):
         items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
         brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = _column(value, _json_cells, inner)
+        brackets = "[]"
     elif value is None or isinstance(value, (str, int, float)):  # bool, subclasses
         return json.dumps(value)
-    elif not isinstance(value, (list, tuple)):
-        return _json_text(_json_value(value), pad)
-    elif (types := {*map(type, value)}) == {int}:  # a word or a digit list, at C speed
-        items = list(map(int.__repr__, value))
-        brackets = "[]"
-    elif types == {dict} and len(value) > 1 and len({*map(tuple, value)}) == 1 and value[0]:
-        items = _json_table(value, inner)  # dicts with one key order, and a key
-        brackets = "[]"
     else:
-        items = [_json_text(v, inner) for v in value]
-        brackets = "[]"
+        return _json_text(_json_value(value), pad)
     if not items:
         return brackets
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"

@@ -41,8 +41,8 @@ def image_sup(K: DigitSet) -> Fraction:
     The recursion ?(x) = 2^(1-a1) - 2^(-a1) ?(shift x) makes the greedy
     choice optimal at every rank for any S: the smallest digit maximizes
     2^-a1 (2 - m) for any continuation value m in (0, 1], and the
-    continuation must then be minimal, and vice versa.  For S = 2 this
-    collapses to 2 (2^k2 - 1) / (2^(k1+k2) - 1).
+    continuation must then be minimal, and vice versa.  Only k1 and kS
+    enter, so for every S this is 2 (2^kS - 1) / (2^(k1+kS) - 1).
     """
     k1, ks = K.digits[0], K.digits[-1]
     return minkowski_periodic(ContinuedFraction((), (k1, ks)))
@@ -51,14 +51,14 @@ def image_sup(K: DigitSet) -> Fraction:
 def image_inf(K: DigitSet) -> Fraction:
     """Exact infimum: the value on [0; kS, k1, kS, k1, ...].
 
-    For S = 2 this is 2 (2^k1 - 1) / (2^(k1+k2) - 1).
+    For every S this is 2 (2^k1 - 1) / (2^(k1+kS) - 1).
     """
     k1, ks = K.digits[0], K.digits[-1]
     return minkowski_periodic(ContinuedFraction((), (ks, k1)))
 
 
 def image_diameter(K: DigitSet) -> Fraction:
-    """sup - inf; for S = 2 equal to 2 (2^k2 - 2^k1) / (2^(k1+k2) - 1)."""
+    """sup - inf; for every S equal to 2 (2^kS - 2^k1) / (2^(k1+kS) - 1)."""
     return image_sup(K) - image_inf(K)
 
 
@@ -88,7 +88,7 @@ def tail_set_inf(K: DigitSet, rank: int = 0) -> Fraction:
 def tail_set_diameter(K: DigitSet, rank: int = 0) -> Fraction:
     """Diameter of the rank-n tail set: identical for every rank.
 
-    For S = 2 it equals (2^k2 - 2^k1) / (2^(k1+k2) - 1), half the image
+    For every S it equals (2^kS - 2^k1) / (2^(k1+kS) - 1), half the image
     diameter.  Rank independence is what makes the image exactly
     self-similar.
     """

@@ -109,6 +109,16 @@ class TestMoranCommand:
             want = abs(mp.fsum(mpf(2) ** (-k * s) for k in K.digits) - 1)
         assert 0 < got and want / 2 <= got <= 2 * want
 
+    def test_csv_row_agrees_with_json(self, capsys):
+        # the row is built beside the result: its digits are the config's
+        assert main(["moran", "--digits", "1..9", "--format", "csv"]) == EXIT_OK
+        header, line = capsys.readouterr().out.splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert main(["moran", "--digits", "1..9", "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert [int(d) for d in row["digits"].split()] == payload["config"]["digits"]
+        assert row["s"] == payload["result"]["moran_root"]["s"]
+
     def test_usage_errors(self, capsys):
         assert main(["moran", "--digits", "3"]) == EXIT_USAGE
         assert main(["moran", "--digits", "1..9", "--tol", "0.5"]) == EXIT_USAGE
@@ -182,6 +192,21 @@ class TestVerdictCommand:
         v = json.loads(capsys.readouterr().out)["result"]["verdict"]
         assert v["preserved"] == preserved
         assert (v["gap"] > v["tol"]) == (preserved == "not_preserved")
+
+    @pytest.mark.parametrize("n", ["9", "129", "20000"])
+    def test_csv_row_agrees_with_json(self, capsys, n):
+        # the flat row is built beside the nested result from the same values
+        assert main(["verdict", "--n", n, "--format", "csv"]) == EXIT_OK
+        header, line = capsys.readouterr().out.splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert main(["verdict", "--n", n, "--format", "json"]) == EXIT_OK
+        v = json.loads(capsys.readouterr().out)["result"]["verdict"]
+        assert row["n"] == n == str(v["n"])
+        assert row["lower"] == repr(v["bounds"]["lower"])
+        assert row["upper"] == repr(v["bounds"]["upper"])
+        assert row["moran_root"] == v["image_dimension"]["s"]
+        assert row["verdict"] == v["preserved"]
+        assert row["gap"] == repr(v["gap"])
 
     @pytest.mark.parametrize("n", [10**400, 160_000_000_000_000], ids=["10**400", "1.6e14"])
     def test_n_past_bounds_limit_rejected(self, capsys, n):

@@ -10,7 +10,7 @@ divide the root exactly.  The headline digit set {1..9} is pinned to
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -293,6 +293,9 @@ class TestMoranRootProperties:
             assert abs(moran_minus_one(K, root.s)) <= 1e-12
 
     @prop
+    @example(DigitSet(range(1, 73)), 184)  # each one 128-bit ulp low before the final step
+    @example(DigitSet(range(1, 65)), 202)
+    @example(DigitSet(range(1, 90)), 127)
     @given(ranges_plus(), st.integers(1, 10**4))
     def test_adding_a_digit_never_lowers_the_root(self, K, digit):
         if digit in K.digits:

@@ -58,14 +58,17 @@ class TestImageExtremes:
         assert image_sup(DigitSet((1, 3))) == Fraction(14, 15)
 
     def test_closed_forms_for_pairs(self):
+        # only the least and largest digits enter, so pairs and larger sets
+        # share the closed forms
         rng = random.Random(31)
         for _ in range(50):
             k1 = rng.randint(1, 11)
             k2 = rng.randint(k1 + 1, 12)
-            K = DigitSet((k1, k2))
-            assert image_sup(K) == closed_form_sup(k1, k2)
-            assert image_inf(K) == closed_form_inf(k1, k2)
-            assert image_diameter(K) == image_sup(K) - image_inf(K)
+            for K in (DigitSet((k1, k2)), random_digit_set(rng, max_digit=39, max_size=6)):
+                least, largest = K.digits[0], K.digits[-1]
+                assert image_sup(K) == closed_form_sup(least, largest)
+                assert image_inf(K) == closed_form_inf(least, largest)
+                assert image_diameter(K) == image_sup(K) - image_inf(K)
 
     def test_extremes_are_periodic_point_values(self):
         K = DigitSet((2, 5, 9))
@@ -111,6 +114,8 @@ class TestTailSets:
             k2 = rng.randint(k1 + 1, 10)
             K = DigitSet((k1, k2))
             den = 2 ** (k1 + k2) - 1
+            wider = DigitSet((k1, *rng.sample(range(k1 + 1, k2), min(3, k2 - k1 - 1)), k2))
+            assert tail_set_diameter(wider, 1) == Fraction(2**k2 - 2**k1, den)
             assert tail_set_sup(K, 0) == Fraction(2**k2 - 1, den)
             assert tail_set_inf(K, 0) == Fraction(2**k1 - 1, den)
             assert tail_set_sup(K, 1) == Fraction(1 - 2**k1, den)
@@ -125,9 +130,8 @@ class TestTailSets:
             assert tail_set_inf(K, 7) == -image_sup(K) / 2
 
     def test_rank_independence_beyond_pairs(self):
-        # the closed-form displays are for S = 2; for larger sets the same
-        # rank independence is checked numerically against the
-        # oracle-bracketed image extremes (see test_bracketing_oracle)
+        # for larger sets the same rank independence is also checked against
+        # the oracle-bracketed image extremes (see test_bracketing_oracle)
         for digits in [(1, 3, 7), (2, 4, 5, 9)]:
             K = DigitSet(digits)
             diameters = {tail_set_diameter(K, rank) for rank in range(11)}
