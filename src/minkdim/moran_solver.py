@@ -8,9 +8,12 @@ by 2^-k per digit k, so the equation specializes to
     sum_{k in K} 2^(-k s) = 1,
 
 whose left side falls strictly from S at s = 0 to sum 2^-k < 1 at s = 1.
-The root is found by Newton steps (f'(s) = -ln 2 * sum k 2^(-k s)) from
-the bracket's midpoint on, safeguarded by bisection; f is convex, so a
-Newton step from the left of the root never passes it.  Both sums come
+The root is found by Newton steps (f'(s) = -ln 2 * sum k 2^(-k s)),
+safeguarded by bisection; f is convex, so a Newton step from the left of
+the root never passes it.  The steps start at the root of the same
+equation solved in float64, which two 128-bit evaluations polish, or at
+the bracket's midpoint where float64 cannot hold the equation (a digit of
+2^53 or more).  Both sums come
 from one pass of ``_moran_sums``: one mpmath power for the leading term
 2^(-k1 s), whose exponent never underflows, times a sum of powers of
 x = 2^-s in Python-integer fixed point with enough guard bits for the
@@ -24,8 +27,12 @@ to working precision, not just to tolerance.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import mul, sub
 from typing import Any, Callable
 
 from mpmath import mp, mpf
@@ -39,6 +46,8 @@ MAX_TOLERANCE = 1e-3
 DEFAULT_TOLERANCE = 1e-12
 MAX_STEPS = 85  # evaluations allowed after the bracket's two endpoints
 _RESIDUAL_BITS = 100  # Newton polishes |f(s) - 1| below 2^-100
+_FLOAT_CUT = 1100  # float64 terms below 2^-1100 are 0: not computed
+_LN2 = math.log(2)
 
 
 def check_tolerance(tol: float) -> None:
@@ -52,7 +61,8 @@ class MoranRoot:
     """The solved root s in (0, 1) with solver diagnostics.
 
     ``residual`` is |f(s) - 1| at s, at twice the working precision;
-    ``iterations`` counts function evaluations; ``bracket`` is the solver's
+    ``iterations`` counts the evaluations of f at 128 and 256 bits, not the
+    float64 ones that find the starting point; ``bracket`` is the solver's
     live bracket at return, certified f(lo) >= 1 >= f(hi).  Newton reaches
     the root from one side, so its far end is often the starting bracket's
     end (``[0.99857786..., 1.0]`` for {1..9}): it is no precision measure,
@@ -134,19 +144,20 @@ def _moran_sums(K: DigitSet, s, prec: int) -> tuple[mpf, mpf]:
         return tuple(mp.ldexp(mp.fmul(head, v, rounding="f"), -F) for v in (total, weighted))
 
 
-def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):
+def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target, start=None):
     """Root of a decreasing h on the closed bracket [lo, hi]: h(lo) >= 0 >= h(hi).
 
-    Newton, safeguarded by bisection.  One loop starts at the bracket's
-    midpoint, evaluates h, stops as soon as |h| <= residual_target, narrows
-    the bracket to the side the sign names and steps to the Newton point
+    Newton, safeguarded by bisection.  One loop starts at ``start`` when it
+    lies strictly inside (lo, hi), else at the bracket's midpoint, evaluates
+    h, stops as soon as |h| <= residual_target, narrows the bracket to the
+    side the sign names and steps to the Newton point
     s - h(s)/h'(s) when it lies strictly inside the live bracket, else to
     the midpoint (so a zero slope or a non-finite Newton point bisects).
     Works unchanged over floats and mpmath floats.  An endpoint value that
     rounds to zero still brackets: the loop converges to a point that meets
     the target.
 
-    Both callers' h are convex as well as decreasing, which makes Newton
+    Every caller's h is convex as well as decreasing, which makes Newton
     safe from the first step: the tangent lies below a convex h, so from a
     point with h > 0 the Newton point has h >= 0 again and climbs
     monotonically to the root, and from a point with h < 0 one Newton step
@@ -167,7 +178,7 @@ def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):
             f"h({lo}) = {h_lo} and h({hi}) = {h_hi} at {prec}-bit precision: "
             f"[{lo}, {hi}] does not bracket the root"
         )
-    s = (lo + hi) / 2
+    s = start if start is not None and lo < start < hi else (lo + hi) / 2
     for iterations in range(3, MAX_STEPS + 3):
         res = h(s)
         if abs(res) <= residual_target:
@@ -189,6 +200,52 @@ def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target):
     )
 
 
+def _float_root(K: DigitSet, hi) -> float | None:
+    """The root in float64, where the 128-bit solve starts; None where
+    float64 cannot hold the equation.
+
+    Solves psi(s) = log(sum_k 2^(-(k - k1) s)) / s - k1 ln 2 = 0 on (0, hi]
+    with ``bisect_newton``.  The log of a sum of exponentials of linear
+    functions, g, is convex, decreasing and positive, so g(s)/s is too, and
+    psi falls from +inf at 0.  At the root g(s)/s = k1 ln 2, so a residual
+    target relative to k1 ln 2 fixes the root's relative precision, whatever
+    its size, and a looser target needs only the one Newton step taken
+    after the loop.  k1's term, 1, enters through log1p.  Each other term is
+    2.0 ** (-s (k - k1)), the product formed before the power, so a wide gap
+    costs no accuracy; the terms that would fall below 2^-1100 are zero in
+    float64 and are not computed.  Returns None for a digit of 2^53 or
+    more, whose gaps float64 rounds, for an hi that rounds to 0 and where
+    float64 rounding breaks the bracket or the residual target; the 128-bit
+    solve then starts at its midpoint.
+    """
+    digits = K.digits
+    k1, hi = digits[0], float(hi)
+    if digits[-1] >= 2**53 or not hi:
+        return None
+
+    @lru_cache(maxsize=1)
+    def parts(s):  # g(s)/s and -g'(s)/ln 2
+        gaps = list(map(sub, digits[1 : bisect_right(digits, k1 + _FLOAT_CUT / s)], repeat(k1)))
+        terms = list(map(pow, repeat(2.0), map(mul, repeat(-s), gaps)))
+        tail = sum(terms)
+        return math.log1p(tail) / s, sum(map(mul, gaps, terms)) / (1 + tail)
+
+    def psi(s):
+        return parts(s)[0] - k1 * _LN2 if s else math.inf
+
+    def psi_prime(s):
+        g_over_s, slope = parts(s)
+        return -(_LN2 * slope + g_over_s) / s
+
+    try:
+        s, res, _, _ = bisect_newton(psi, psi_prime, 0.0, hi, residual_target=2.0**-44 * k1 * _LN2)
+    except ToleranceError:
+        return None
+    # one more Newton step, on the cached sums, to float64's last bits: a root
+    # that rounds to hi, such as {1..n}'s for n past 53, starts just below it
+    return min(s - res / psi_prime(s), math.nextafter(hi, 0))
+
+
 def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
     """Unique root of sum(2^(-k s)) = 1 over K, certified to |f(s)-1| <= tol.
 
@@ -201,19 +258,22 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
     guarantee existence and uniqueness in (0, hi], where hi = min(1,
     ceil(log2 S)/k1) (rounded up): f(hi) <= S 2^(-k1 hi) <= 1.  For huge k1
     the root lies near 1/k1, so the search starts in this bracket, not in
-    [0, 1].
+    [0, 1].  Newton starts at the float64 root (``_float_root``); it
+    changes how many evaluations the root takes, not its bits.
     """
     check_tolerance(tol)
     # h and h' at the same point (every Newton step) share one pass
     sums = lru_cache(maxsize=1)(lambda s: _moran_sums(K, s, PRECISION_BITS))
     with mp.workprec(PRECISION_BITS):
         hi = min(mpf(1), mp.fdiv((len(K) - 1).bit_length(), K.digits[0], rounding="u"))
+        start = _float_root(K, hi)
         s, res, iters, bracket = bisect_newton(
             lambda s: sums(s)[0] - 1,
             lambda s: -mp.ln2 * sums(s)[1],
             mpf(0),
             hi,
             residual_target=mpf(2) ** -_RESIDUAL_BITS,
+            start=None if start is None else mpf(start),
         )
     # one Newton step at 256 bits, rounded to nearest at 128: the root to the
     # last bit, whatever path reached it; a step leaving the bracket is not taken

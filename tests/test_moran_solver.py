@@ -8,6 +8,7 @@ divide the root exactly.  The headline digit set {1..9} is pinned to
 """
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +21,9 @@ from minkdim import (
     bisect_newton,
     moran_function,
     moran_root,
+    moran_solver,
 )
-from minkdim.moran_solver import PRECISION_BITS, _moran_sums
+from minkdim.moran_solver import PRECISION_BITS, _float_root, _moran_sums
 
 NINE = DigitSet(tuple(range(1, 10)))
 
@@ -96,8 +98,9 @@ class TestMoranRoot:
         assert r2 < r3 < r4
 
     def test_newton_from_the_first_step(self):
-        # the two ends, the midpoint, then Newton steps
-        assert moran_root(NINE).iterations <= 12
+        # the two ends, the float64 root, Newton steps, the 256-bit step
+        assert moran_root(NINE).iterations <= 7
+        assert moran_root(DigitSet((1, 10**15))).iterations <= 12
 
     def test_deterministic(self):
         a = moran_root(NINE)
@@ -256,6 +259,17 @@ class TestExtremeDigitSets:
                     K, root.bracket[1]
                 )
 
+    def test_widest_float64_gap_answers(self):
+        # {1, 2^53 - 1}: the float64 start puts the 128-bit solve by the
+        # root, which the step ceiling did not let it reach from the midpoint
+        N = 2**53 - 1
+        root = moran_root(DigitSet((1, N)))
+        with mp.workprec(256):
+            oracle = mp.findroot(
+                lambda s: 2**-s + 2 ** (-N * s) - 1, mp.lambertw(N) / (N * mp.ln2)
+            )
+            assert abs(root.s / oracle - 1) <= 1e-20
+
     def test_huge_gap_keeps_its_root(self):
         root = moran_root(DigitSet((1, 10**400)))
         assert mp.nstr(root.s, 19) == "1.976004286301269342e-39"
@@ -302,3 +316,82 @@ class TestMoranRootProperties:
             return
         wider = DigitSet((*K.digits, digit))
         assert moran_root(wider).s >= moran_root(K).s
+
+
+START_SETS = [
+    tuple(range(1, 10)),
+    (1, 2),
+    (5, 6),
+    (1, 10**15),
+    (3, 10**12),
+    tuple(range(1, 130)),
+    tuple(range(1, 20001)),
+    (*range(1, 73), 184),  # the pinned counterexamples above
+    (*range(1, 65), 202),
+    (*range(1, 90), 127),
+]
+start_sets = pytest.mark.parametrize(
+    "digits", START_SETS, ids=lambda d: f"{d[0]}..{d[-1]}/{len(d)}"
+)
+
+
+def midpoint_root(K: DigitSet):
+    """moran_root(K) with the 128-bit solve started at the midpoint."""
+    with patch.object(moran_solver, "_float_root", return_value=None):
+        return moran_root(K)
+
+
+class TestFloatStart:
+    """The float64 start changes how many steps a root takes, not its bits,
+    wherever the absolute stop pins the bits down."""
+
+    @start_sets
+    def test_same_root_as_from_the_midpoint(self, digits):
+        K = DigitSet(digits)
+        fast, slow = moran_root(K), midpoint_root(K)
+        assert (fast.s, fast.residual) == (slow.s, slow.residual)
+        assert fast.iterations <= slow.iterations
+
+    @prop
+    @given(st.one_of(ranges_plus(), wide_digit_sets()))
+    def test_same_root_on_drawn_sets(self, K):
+        try:
+            slow = midpoint_root(K)
+        except ToleranceError:
+            return  # the float64 start may answer where the midpoint cannot
+        fast = moran_root(K)
+        # The stop |f - 1| <= 2^-100 is absolute: it leaves s within
+        # 2^-100 / |s f'| of the root, relative, and |s f'| >= k1 s ln 2.  From
+        # k1 s >= 2^-30 on, the 256-bit step rounds every path to the same
+        # bits; below, either path may end one ulp off (ROADMAP item 1b).
+        if K.digits[0] * slow.s >= 2**-30:
+            assert (fast.s, fast.residual) == (slow.s, slow.residual)
+
+    def test_tiny_root_rounded_to_nearest(self):
+        # k1 s = 3.0e-13: the midpoint start ends one 128-bit ulp low here,
+        # the float64 start on the root rounded to nearest
+        K = DigitSet(
+            (1, *range(150307020856005, 150307020856018), *range(225460531284017, 225460531284022))
+        )
+        root = moran_root(K)
+        with mp.workprec(400):
+            oracle = mp.findroot(lambda s: moran_minus_one(K, s), root.s)
+        with mp.workprec(PRECISION_BITS):
+            assert root.s == +oracle
+
+    @start_sets
+    def test_float_root_near_the_128_bit_root(self, digits):
+        K = DigitSet(digits)
+        starts = []
+
+        def spy(K, hi):
+            starts.append(_float_root(K, hi))
+            return starts[-1]
+
+        with patch.object(moran_solver, "_float_root", spy):
+            root = moran_root(K)
+        assert abs(starts[0] / root.s - 1) <= 1e-12
+
+    @pytest.mark.parametrize("digits", [(1, 2**53), (1, 10**16), (2**60, 2**60 + 1)])
+    def test_none_past_float64_integers(self, digits):
+        assert _float_root(DigitSet(digits), mpf(1)) is None
