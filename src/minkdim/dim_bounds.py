@@ -95,7 +95,8 @@ def preservation_verdict(n: int, tol: float = DEFAULT_TOLERANCE) -> Preservation
     x^(n+1) - 2x + 1 = 0, and x = (1 + eps)/2 turns it into the fixed point
     eps = g(eps) = 2^-(n+1) (1 + eps)^(n+1).  g increases and maps
     [0, 2^-n] into itself, contracting by about (n+1) 2^-n, so iterating it
-    from 0 climbs to the root eps in [g(0), g(2^-n)]; that interval, mapped
+    from 0 climbs to the root eps in [g(0), g(2^-n)]; each step is one
+    integer power of 1 + eps and an exact shift.  That interval, mapped
     to s with outward rounding, is the reported bracket.  Then
     1 - s = log1p(eps)/ln 2 keeps its relative accuracy however large n is,
     and f(s) - 1 = 2 (eps - g(eps))/(1 - eps) gives the residual at the
@@ -108,7 +109,7 @@ def preservation_verdict(n: int, tol: float = DEFAULT_TOLERANCE) -> Preservation
     with mp.workprec(PRECISION_BITS):
 
         def g(eps):
-            return mp.ldexp(mp.exp((n + 1) * mp.log1p(eps)), -(n + 1))
+            return mp.ldexp((1 + eps) ** (n + 1), -(n + 1))
 
         eps, step, iterations = mpf(0), g(mpf(0)), 1
         while step > eps:  # an increasing sequence ends where rounding stalls it

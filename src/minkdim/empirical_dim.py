@@ -11,8 +11,10 @@ the depth-1 sum is solved once: its root, the Moran root, serves every depth.
 ``_log_lengths`` builds the float64 log domain lengths of each depth from the
 last with numpy, in lexicographic word order, carrying (log q_n, q_{n-1}/q_n)
 so nothing overflows.  One solver finds the root of logsumexp(s * log lengths)
-= 0, so no power underflows, with pairwise sums in that fixed order
-(bit-reproducible runs).  Logs outside the float64 range raise ToleranceError.
+= 0, so no power underflows.  Its sums run in that fixed order, with no BLAS
+call and no threads: the sum for g is numpy's pairwise sum and the weighted
+sum for g' one einsum, so runs are bit-reproducible whatever the BLAS thread
+count.  Logs outside the float64 range raise ToleranceError.
 """
 
 from __future__ import annotations
@@ -74,23 +76,32 @@ def _log_lengths(K: DigitSet, depth: int) -> Iterator[np.ndarray]:
 def _solve_covering(logs: np.ndarray, target: float) -> tuple[float, float, tuple[float, float]]:
     """Root of g(s) = log(sum(exp(s * logs))) = 0, polished to |g| <= target.
 
-    g' is a weighted mean of the logs, so unlike the sum's slope it cannot
-    underflow.  g and g' at the same s (every Newton step) share one pass.
+    Takes the layer over: shifts it in place, once, by its maximum top, since
+    max(s * logs) = s * top for every s >= 0.  Then g(s) = s * top +
+    log(sum(exp(s * shifted))), and g'(s) = top + the weighted mean of the
+    shifted logs, which unlike the sum's slope cannot underflow.  Each s > 0
+    costs four array passes (multiply, exp, sum, one weighted sum), shared by
+    g and g' at the same s (every Newton step); g(0) = log N takes none.
     """
+    top = float(logs.max())
+    logs -= top
     scratch = np.empty_like(logs)
 
     @lru_cache(maxsize=1)
     def sums(s: float) -> tuple[float, float]:
         np.multiply(logs, s, out=scratch)
-        top = scratch.max()
-        np.subtract(scratch, top, out=scratch)
-        np.exp(scratch, out=scratch)  # exp(s * logs - top)
-        total = scratch.sum()
-        np.multiply(scratch, logs, out=scratch)
-        return float(top + np.log(total)), float(scratch.sum() / total)
+        np.exp(scratch, out=scratch)  # weights exp(s * shifted), the largest 1
+        total = float(scratch.sum())
+        weighted = float(np.einsum("i,i->", scratch, logs))
+        return s * top + math.log(total), weighted / total + top
 
+    log_count = float(np.log(logs.size))  # g(0), as a pass would compute it
     s, res, _, bracket = bisect_newton(
-        lambda s: sums(s)[0], lambda s: sums(s)[1], 0.0, 1.0, residual_target=target
+        lambda s: sums(s)[0] if s else log_count,
+        lambda s: sums(s)[1],
+        0.0,
+        1.0,
+        residual_target=target,
     )
     return s, math.exp(res), (float(bracket[0]), float(bracket[1]))
 

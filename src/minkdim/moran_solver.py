@@ -256,7 +256,9 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
     answer too small for the absolute stop, such as {1, 10^400}'s, it leaves
     it.  Monotonicity plus the endpoint values f(0) = S > 1 >= f(hi)
     guarantee existence and uniqueness in (0, hi], where hi = min(1,
-    ceil(log2 S)/k1) (rounded up): f(hi) <= S 2^(-k1 hi) <= 1.  For huge k1
+    ceil(log2 S)/k1) (rounded up): f(hi) <= S 2^(-k1 hi) <= 1.  f(0) = S is
+    taken as known, with no walk over the digits, whose sum it would equal
+    exactly at s = 0 (most of the time of {1..10^6}'s root).  For huge k1
     the root lies near 1/k1, so the search starts in this bracket, not in
     [0, 1].  Newton starts at the float64 root (``_float_root``); it
     changes how many evaluations the root takes, not its bits.
@@ -268,7 +270,7 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
         hi = min(mpf(1), mp.fdiv((len(K) - 1).bit_length(), K.digits[0], rounding="u"))
         start = _float_root(K, hi)
         s, res, iters, bracket = bisect_newton(
-            lambda s: sums(s)[0] - 1,
+            lambda s: sums(s)[0] - 1 if s else mpf(len(K) - 1),  # f(0) = S
             lambda s: -mp.ln2 * sums(s)[1],
             mpf(0),
             hi,

@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -307,3 +308,59 @@ class TestEngine:
         assert main(argv) == EXIT_TOLERANCE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestSolverPasses:
+    """What ``_solve_covering`` pays per root, and what it returns."""
+
+    LAYERS = {
+        "nine-depth-3": lambda: deepest_layer(NINE, 3),
+        "image-1e10": lambda: np.array((10**10, 2 * 10**10), float) * -math.log(2.0),
+    }
+
+    @pytest.mark.parametrize("layer", sorted(LAYERS))
+    def test_no_pass_at_zero_and_one_pass_sums(self, monkeypatch, layer):
+        logs = self.LAYERS[layer]()
+        original = logs.tolist()
+        exp_inputs, evaluations, closures = [], [], []
+        real_exp = np.exp
+
+        def exp(x, *args, **kwargs):
+            exp_inputs.append(bool(np.any(x)))  # s * (logs - top) is all zeros only at s = 0
+            return real_exp(x, *args, **kwargs)
+
+        def recording(h, h_prime, lo, hi, **kwargs):
+            closures.append((h, h_prime))
+
+            def counted(s):
+                evaluations.append(s)
+                return h(s)
+
+            return bisect_newton(counted, h_prime, lo, hi, **kwargs)
+
+        monkeypatch.setattr(np, "exp", exp)
+        monkeypatch.setattr(empirical_dim, "bisect_newton", recording)
+        root, *_ = empirical_dim._solve_covering(logs, math.log1p(1e-10))
+        # g(0) is free; every other point costs exactly one exp pass, g' none
+        assert evaluations[0] == 0.0 and 0.0 not in evaluations[1:]
+        assert len(exp_inputs) == len(evaluations) - 1 and all(exp_inputs)
+
+        (h, h_prime), = closures
+        assert h(0.0) == pytest.approx(math.log(len(original)), rel=1e-15)
+        for s in (root / 4, root / 2, 2 * root, 1.0):
+            top = max(s * x for x in original)
+            weights = [math.exp(s * x - top) for x in original]
+            total = math.fsum(weights)
+            g = top + math.log(total)
+            g_prime = math.fsum(w * x for w, x in zip(weights, original)) / total
+            assert type(h(s)) is float and type(h_prime(s)) is float
+            assert h(s) == pytest.approx(g, rel=1e-12)
+            assert h_prime(s) == pytest.approx(g_prime, rel=1e-12)
+
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("digits", [(1, 2), (1, 3, 5), (10**10, 2 * 10**10)])
+    def test_estimate_fields_are_python_floats(self, side, digits):
+        # report._JSON_SCALARS matches exact types: no np.float64 may leak
+        for est in estimate_series(DigitSet(digits), (1, 2, 3), side):
+            assert type(est.s_hat) is float and type(est.sum_at_root) is float
+            assert [type(end) for end in est.bracket] == [float, float]

@@ -102,6 +102,22 @@ class TestMoranRoot:
         assert moran_root(NINE).iterations <= 7
         assert moran_root(DigitSet((1, 10**15))).iterations <= 12
 
+    @pytest.mark.parametrize("digits", [tuple(range(1, 10)), (10**10, 2 * 10**10)])
+    def test_no_walk_at_zero(self, digits):
+        # f(0) = S is known: the lower end of the bracket costs no digit walk
+        K = DigitSet(digits)
+        points = []
+
+        def recording(K, s, prec):
+            points.append(s)
+            return _moran_sums(K, s, prec)
+
+        with patch.object(moran_solver, "_moran_sums", recording):
+            root = moran_root(K)
+        assert points and 0 not in points
+        assert len(points) == root.iterations - 1  # each evaluation but f(0) walks once
+        assert root == moran_root(K)
+
     def test_deterministic(self):
         a = moran_root(NINE)
         b = moran_root(NINE)
