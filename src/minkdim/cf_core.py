@@ -26,10 +26,10 @@ DEFAULT_BUDGET = 2_000_000
 
 
 def _checked_digits(digits: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in digits)
-    for d in out:
-        if d < 1:
-            raise ValueError(f"partial quotients must be >= 1, got {d}")
+    out = tuple(map(int, digits))
+    if min(out, default=1) < 1:
+        bad = next(d for d in out if d < 1)
+        raise ValueError(f"partial quotients must be >= 1, got {bad}")
     return out
 
 

@@ -5,12 +5,13 @@ dyadic series
 
     ?(x) = 2^(1-a1) - 2^(1-(a1+a2)) + 2^(1-(a1+a2+a3)) - ...
 
-It maps (0, 1] onto (0, 1] monotonically, sending rationals (finite words) to
-dyadic rationals m/2^e and eventually periodic expansions to rationals.
-Evaluation here is exact: finite words give a `DyadicRational` (a
-`fractions.Fraction` that checks its denominator is a power of two),
-periodic expansions give a `Fraction` via closed-form geometric summation,
-and digit prefixes give certified `cf_core.RationalInterval` enclosures from
+It maps (0, 1] onto (0, 1] monotonically.  Every value here comes from one
+integer, a word's mantissa M = 2^(a1+...+an) ?([0; a1, ..., an]), built by
+Horner's rule from the left (M <- M 2^a + 2 (-1)^(j-1)).  A finite word gives
+the `DyadicRational` M / 2^(digit sum) (a `fractions.Fraction` that checks
+its denominator is a power of two), an eventually periodic expansion one
+`Fraction` of integers in the mantissas of its preperiod and period, and a
+digit prefix a certified `cf_core.RationalInterval` around its mantissa from
 the alternating-series bracket.  Floating point never enters; the sup/inf
 identities downstream hold bit-exactly.
 """
@@ -52,33 +53,30 @@ class DyadicRational(Fraction):
         return Fraction(self)
 
 
-def _word_value(word: Sequence[int]) -> DyadicRational:
-    """The alternating sum over a digit word, exactly; 0 for the empty word.
+def _mantissa(word: Sequence[int]) -> int:
+    """The integer M with ?(word) = M / 2^(sum of word); 0 for the empty word.
 
-    With partial digit sums A_m, the value is
-    sum_m (-1)^(m-1) 2^(1-A_m) = [sum_m (-1)^(m-1) 2^(1+A_n-A_m)] / 2^A_n.
+    Horner's rule from the left, M <- M 2^a + 2 (-1)^(j-1) for the j-th digit
+    a, multiplies the whole alternating sum by 2^(a1+...+an) as it goes.
     """
-    total = sum(word)
-    mantissa = 0
-    running = 0
-    for i, a in enumerate(word):
-        running += a
-        term = 1 << (1 + total - running)
-        mantissa += -term if i % 2 else term
-    return DyadicRational(mantissa, 1 << total)
+    m, step = 0, 2
+    for a in word:
+        m = (m << a) + step
+        step = -step
+    return m
 
 
 def _tail_hull(word: tuple[int, ...], lo: Fraction, hi: Fraction) -> RationalInterval:
     """head(word) + (-1)^n 2^-(sum of word) * [lo, hi], where n = len(word).
 
     The hull of the values whose expansion starts with ``word`` when the
-    series tails after it, unsigned and unscaled, range over [lo, hi].
+    series tails after it, unsigned and unscaled, range over [lo, hi]:
+    (M + (-1)^n [lo, hi]) / 2^(sum of word) with M the word's mantissa.
     """
-    head = _word_value(word)
-    scale = Fraction(1, 1 << sum(word))
-    if len(word) % 2 == 0:
-        return RationalInterval(head + scale * lo, head + scale * hi)
-    return RationalInterval(head - scale * hi, head - scale * lo)
+    m, den = _mantissa(word), 1 << sum(word)
+    if len(word) % 2:
+        lo, hi = -hi, -lo
+    return RationalInterval((m + lo) / den, (m + hi) / den)
 
 
 def minkowski_finite(cf: ContinuedFraction) -> DyadicRational:
@@ -89,7 +87,7 @@ def minkowski_finite(cf: ContinuedFraction) -> DyadicRational:
     """
     if not cf.is_finite:
         raise ValueError("finite continued fraction required")
-    return _word_value(cf.preperiod)
+    return DyadicRational(_mantissa(cf.preperiod), 1 << sum(cf.preperiod))
 
 
 def minkowski_enclosure(prefix: Sequence[int]) -> RationalInterval:
@@ -106,18 +104,18 @@ def minkowski_enclosure(prefix: Sequence[int]) -> RationalInterval:
 def minkowski_periodic(cf: ContinuedFraction) -> Fraction:
     """Exact rational value on an eventually periodic expansion.
 
-    The repeating block is summed as a geometric series.  A block of odd
-    length flips the sign of every term on each repeat, so it is doubled
-    first; with head value H over the m preperiod digits (digit sum A),
-    block value C and block digit sum B, the series collapses to
+    With mantissa M_H, digit sum A and length m for the preperiod, and M_P,
+    B and p for the period, the tail after the preperiod is a geometric
+    series: the period's value M_P / 2^B, repeated with ratio (-1)^p 2^-B,
+    sums to M_P / d.  The whole series is one fraction of integers:
 
-        H + (-1)^m 2^-A * C / (1 - 2^-B).
+        (M_H d + (-1)^m M_P) / (d 2^A),   d = 2^B - (-1)^p.
+
+    An odd period needs no doubling: its negative ratio gives d = 2^B + 1.
     """
     if cf.is_finite:
         raise ValueError("periodic continued fraction required")
-    block = cf.period if len(cf.period) % 2 == 0 else cf.period * 2
-    c = _word_value(block)
-    tail = c / (1 - Fraction(1, 2 ** sum(block)))
-    head = _word_value(cf.preperiod)
-    sign = -1 if len(cf.preperiod) % 2 else 1
-    return head + sign * tail / 2 ** sum(cf.preperiod)
+    pre, period = cf.preperiod, cf.period
+    d = (1 << sum(period)) + (1 if len(period) % 2 else -1)
+    tail = _mantissa(period)
+    return Fraction(_mantissa(pre) * d + (-tail if len(pre) % 2 else tail), d << sum(pre))

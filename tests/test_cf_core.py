@@ -53,6 +53,30 @@ class TestTypes:
         with pytest.raises(ValueError):
             ContinuedFraction(())
 
+    @pytest.mark.parametrize(
+        "build, digits, bad",
+        [
+            (ContinuedFraction, (2, 0, -1), 0),
+            (ContinuedFraction, (-4, 3, 0), -4),
+            (lambda d: ContinuedFraction((1,), d), (3, 1, 0), 0),
+            (DigitSet, (5, -3, 0), -3),
+            (DigitSet, (2, 7, 0, -9), 0),
+        ],
+        ids=["cf", "cf-leading", "cf-period", "digit-set", "digit-set-zero-first"],
+    )
+    def test_digit_message_names_first_bad_digit(self, build, digits, bad):
+        with pytest.raises(ValueError, match=rf"^partial quotients must be >= 1, got {bad}$"):
+            build(digits)
+
+    def test_digits_coerced_with_int(self):
+        assert ContinuedFraction((True, 2.9, "3")).preperiod == (1, 2, 3)
+        assert DigitSet([Fraction(4), 1.5]).digits == (1, 4)
+        assert all(type(d) is int for d in DigitSet((True, 2.0)).digits)
+        with pytest.raises(ValueError):
+            ContinuedFraction(("x",))
+        with pytest.raises(ValueError):  # int(0.5) is 0
+            DigitSet((2, 0.5))
+
     def test_period_must_be_primitive(self):
         # a power of a shorter word is stored as that word
         assert ContinuedFraction((), (1, 1)).period == (1,)

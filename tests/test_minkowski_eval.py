@@ -1,8 +1,9 @@
 """Minkowski function evaluation.
 
-The oracle is the defining series summed directly with Fractions, plus the
-alternating-series bracket (consecutive partial sums straddle any infinite
-continuation), both independent of the dyadic fast path under test.
+The oracles are the defining series summed directly with Fractions, its
+geometric-series sum for periodic words, and the alternating-series bracket
+(consecutive partial sums straddle any infinite continuation), all
+independent of the integer mantissa kernel under test.
 """
 
 import copy
@@ -11,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minkdim import (
     ContinuedFraction,
@@ -32,6 +35,16 @@ def oracle_series(word) -> Fraction:
         term = Fraction(2, 2**acc)
         total += -term if i % 2 else term
     return total
+
+
+def oracle_periodic(pre, period) -> Fraction:
+    """H + (-1)^m 2^-A * C / (1 - 2^-B), an odd period doubled first."""
+    block = period if len(period) % 2 == 0 else period * 2
+    tail = oracle_series(block) / (1 - Fraction(1, 2 ** sum(block)))
+    return oracle_series(pre) + (-1) ** len(pre) * tail / 2 ** sum(pre)
+
+
+prop = settings(database=None, deadline=None, max_examples=200)
 
 
 class TestDyadicRational:
@@ -121,6 +134,16 @@ class TestFinite:
             word = tuple(rng.randint(1, 8) for _ in range(rng.randint(1, 8)))
             got = minkowski_finite(ContinuedFraction(word)).as_fraction()
             assert got == oracle_series(word)
+
+    @prop
+    @given(st.lists(st.integers(1, 10**4), min_size=1, max_size=60).map(tuple))
+    def test_series_and_reduced_form(self, word):
+        """Horner's last step leaves M = 2 mod 4, so M / 2^A reduces by one 2."""
+        value = minkowski_finite(ContinuedFraction(word))
+        assert type(value) is DyadicRational
+        assert value.as_fraction() == oracle_series(word)
+        assert value.mantissa % 2 == 1
+        assert value.exponent == sum(word) - 1
 
     def test_range(self):
         rng = random.Random(43)
@@ -227,6 +250,23 @@ class TestPeriodic:
     def test_finite_rejected(self):
         with pytest.raises(ValueError):
             minkowski_periodic(ContinuedFraction((2, 3)))
+
+    @prop
+    @given(
+        st.lists(st.integers(1, 10**3), max_size=8).map(tuple),
+        st.lists(st.integers(1, 10**3), min_size=1, max_size=7).map(tuple),
+    )
+    @example((), (7,))  # empty preperiod, odd period
+    @example((), (1, 2))  # empty preperiod, even period
+    @example((3,), (5,))  # odd preperiod, odd period
+    @example((3,), (1, 4))  # odd preperiod, even period
+    @example((1, 2), (2, 1, 6))  # even preperiod, odd period
+    @example((4, 4), (9, 3))  # even preperiod, even period
+    def test_matches_geometric_series(self, pre, period):
+        cf = ContinuedFraction(pre, period)
+        value = minkowski_periodic(cf)
+        assert type(value) is Fraction
+        assert value == oracle_periodic(cf.preperiod, cf.period)
 
     def test_partial_sums_bracket_value(self):
         rng = random.Random(21)
