@@ -56,45 +56,10 @@ from .empirical_dim import (
     successive_differences,
 )
 
-__all__ = [
-    "__version__",
-    "BudgetExceededError",
-    "ToleranceError",
-    "DEFAULT_BUDGET",
-    "ContinuedFraction",
-    "DigitSet",
-    "RationalInterval",
-    "alternate_form",
-    "canonicalize",
-    "cf_from_rational",
-    "cf_value",
-    "convergents",
-    "cylinder_interval",
-    "DyadicRational",
-    "minkowski_enclosure",
-    "minkowski_finite",
-    "minkowski_periodic",
-    "image_cylinder",
-    "image_diameter",
-    "image_hulls",
-    "image_inf",
-    "image_sup",
-    "tail_set_diameter",
-    "tail_set_inf",
-    "tail_set_sup",
-    "MoranRoot",
-    "bisect_newton",
-    "moran_function",
-    "moran_root",
-    "BoundsInterval",
-    "Preservation",
-    "PreservationVerdict",
-    "jarnik_bounds",
-    "preservation_verdict",
-    "CoveringEstimate",
-    "Side",
-    "covering_root_domain",
-    "covering_root_image",
-    "estimate_series",
-    "successive_differences",
+from types import ModuleType as _ModuleType
+
+__all__ = ["__version__"] + [  # the public names bound above, submodules aside
+    name
+    for name, value in [*globals().items()]
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

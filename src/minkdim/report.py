@@ -15,15 +15,14 @@ in the layout of ``json.dumps(indent=2)``, without its pure-Python encoder.
 Both write a column at a time through one ``_column``: a column of one scalar
 type (str, int or float) is written straight through, and any other column
 calls the format's cells function once per distinct object (a diameter shared
-by many rows is rendered once).  Text cells are ``fraction_str`` or
-``decimal_str`` when all are Fractions, the spec's join when all are lists or
-all tuples, and ``_field_str`` otherwise.  JSON cells are a value of type
-exactly Fraction as its pair, a list or tuple of items all of type exactly int
-as one join, and dicts with one key order, and at least one key, as a table:
-one row skeleton from the keys, filled a column at a time by the same rules.
-Every JSON list is such a column.  Types are matched exactly, so bool,
-IntEnum and other subclasses (DyadicRational among them) take the generic
-path that json.dumps spells.
+by many rows is rendered once).  The cells function, ``_field_cells`` or
+``_json_cells``, is the one place that decides how each kind of value is
+written; a column of mixed types goes through it one value at a time, and a
+lone value is a column of one.  Scalars match by exact type (``int.__repr__``
+of True is "1"); every other kind matches subclasses too, so a
+``DyadicRational`` is written as the Fraction it is.  Outside a column JSON
+writes only a lone dict, joined key by key, and a lone exact scalar, by the
+same table of scalar writers.
 """
 
 from __future__ import annotations
@@ -63,25 +62,9 @@ def decimal_str(fr: Fraction) -> str:
     return str(_DECIMAL.divide(*fr.as_integer_ratio()))  # ints convert exactly
 
 
-def exact_number(fr: Fraction) -> dict[str, str]:
-    """JSON value for an exact rational: exact and decimal forms together."""
-    return {"exact": fraction_str(fr), "decimal": decimal_str(fr)}
-
-
 def mpf_str(x, digits: int = 20) -> str:
     """High-precision decimal string for a solver real."""
     return mp.nstr(x, digits)
-
-
-def _field_str(value: Any, spec: str) -> str:
-    """One record field under the rules of ``format_rows``."""
-    if isinstance(value, Fraction):
-        return decimal_str(value) if spec == "decimal" else fraction_str(value)
-    if isinstance(value, (list, tuple)):
-        if spec == "set":
-            return "{" + ", ".join(map(str, value)) + "}"
-        return spec.join(map(str, value))
-    return format(value, spec)
 
 
 def _literal(text: str) -> str:
@@ -129,14 +112,19 @@ def _column(values: Sequence, cells: Callable[..., Iterable[str]], arg: str) -> 
 
 
 def _field_cells(values: Sequence, kind: type | None, spec: str) -> Iterable[str]:
-    """``_field_str`` of each value, at C speed where ``kind`` allows."""
-    if kind in (str, int, float):
-        return map(format, values, repeat(spec))
-    if kind is Fraction:
-        return map(decimal_str if spec == "decimal" else fraction_str, values)
-    if kind in (list, tuple) and spec != "set":  # words joined by the spec
-        return map(spec.join, map(map, repeat(str), values))
-    return map(_field_str, values, repeat(spec))
+    """Each value as a ``format_rows`` field, at C speed where ``kind``
+    allows; a column of mixed types (``kind`` None) one value at a time."""
+    if kind is None:
+        return [cell for value in values for cell in _field_cells([value], type(value), spec)]
+    if kind not in (str, int, float):  # the bulk of a template skips the subclass checks
+        if issubclass(kind, Fraction):
+            return map(decimal_str if spec == "decimal" else fraction_str, values)
+        if issubclass(kind, (list, tuple)):  # words: joined by the spec, or braced as a set
+            words = map(map, repeat(str), values)
+            if spec == "set":
+                return map("{{{}}}".format, map(", ".join, words))
+            return map(spec.join, words)
+    return map(format, values, repeat(spec))
 
 
 def format_rows(template: str, rows: list[dict[str, Any]]) -> list[str]:
@@ -159,63 +147,61 @@ def format_record(template: str, record: dict[str, Any]) -> str:
     return format_rows(template, [record])[0]
 
 
-def _json_value(value: Any) -> Any:
-    """JSON form of the values records keep until rendering."""
-    if isinstance(value, Fraction):
-        return exact_number(value)
-    if isinstance(value, Enum):
-        return value.value
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-_JSON_SCALARS = {  # the bulk of a report, at C speed; json.dumps spells the rest
+_JSON_SCALARS = {  # the bulk of a report, at C speed
     str: encode_basestring_ascii,
     int: int.__repr__,
     float: lambda x: float.__repr__(x) if isfinite(x) else json.dumps(x),
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
 }
 
 
 def _json_cells(values: Sequence, kind: type | None, pad: str) -> Iterable[str]:
-    """``_json_text`` of each value, ``pad`` deep, at C speed where ``kind``
-    allows.  Dicts with one key order, and at least one key, are a table: one
-    row skeleton from the keys, filled a column at a time."""
-    inner = pad + "  "
+    """Each value as ``json.dumps(indent=2)`` text, ``pad`` deep, at C speed
+    where ``kind`` allows; a column of mixed types (``kind`` None) one value
+    at a time.  Dicts with one key order, and at least one key, are a table:
+    one row skeleton from the keys, filled a column at a time."""
     if (encode := _JSON_SCALARS.get(kind)) is not None:
         return map(encode, values)
-    if kind is Fraction:  # exact_number's pair; its strings need no escapes
+    if kind is None:
+        return map(_json_text, values, repeat(pad))
+    inner = pad + "  "
+    if issubclass(kind, (list, tuple)):
+        if {*map(type, chain.from_iterable(values))} <= {int}:
+            joined = map(f",\n{inner}".join, map(map, repeat(int.__repr__), values))
+        else:
+            joined = (f",\n{inner}".join(_column(items, _json_cells, inner)) for items in values)
+        return [f"[\n{inner}{items}\n{pad}]" if items else "[]" for items in joined]
+    if issubclass(kind, dict):
+        if len(keys := {*map(tuple, values)}) == 1 and (key_order := keys.pop()):
+            row = "{{\n" + ",\n".join(
+                _literal(f"{inner}{encode_basestring_ascii(k)}: ") + "{}" for k in key_order
+            ) + f"\n{pad}}}}}"
+            columns = [_column(c, _json_cells, inner) for c in zip(*map(dict.values, values))]
+            return map(row.format, *columns)
+        return map(_json_text, values, repeat(pad))
+    if issubclass(kind, Fraction):  # the {"exact", "decimal"} pair; its strings need no escapes
         pair = f'{{{{\n{inner}"exact": "{{}}",\n{inner}"decimal": "{{}}"\n{pad}}}}}'
         return map(pair.format, map(fraction_str, values), map(decimal_str, values))
-    if kind in (list, tuple) and {*map(type, chain.from_iterable(values))} <= {int}:
-        joined = map(f",\n{inner}".join, map(map, repeat(int.__repr__), values))
-        return [f"[\n{inner}{items}\n{pad}]" if items else "[]" for items in joined]
-    if kind is dict and len(keys := {*map(tuple, values)}) == 1 and (key_order := keys.pop()):
-        row = "{{\n" + ",\n".join(
-            _literal(f"{inner}{encode_basestring_ascii(k)}: ") + "{}" for k in key_order
-        ) + f"\n{pad}}}}}"
-        columns = [_column(c, _json_cells, inner) for c in zip(*map(dict.values, values))]
-        return map(row.format, *columns)
-    return map(_json_text, values, repeat(pad))
+    if issubclass(kind, (str, int, float)):  # IntEnum and other subclasses
+        return map(json.dumps, values)
+    if issubclass(kind, Enum):
+        return map(_json_text, [value.value for value in values], repeat(pad))
+    raise TypeError(f"{kind.__name__} is not JSON serializable")
 
 
 def _json_text(value: Any, pad: str = "") -> str:
-    """``json.dumps(value, indent=2, default=_json_value)`` of a string-keyed
-    record, written ``pad`` deep."""
-    if (encode := _JSON_SCALARS.get(type(value))) is not None:
+    """``json.dumps(value, indent=2)`` of a string-keyed record, written
+    ``pad`` deep, with the value kinds of ``_json_cells``."""
+    if (encode := _JSON_SCALARS.get(type(value))) is not None:  # the bulk, skipping a column
         return encode(value)
+    if not isinstance(value, dict):
+        return "".join(_json_cells([value], type(value), pad))
+    if not value:
+        return "{}"
     inner = pad + "  "
-    if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = _column(value, _json_cells, inner)
-        brackets = "[]"
-    elif value is None or isinstance(value, (str, int, float)):  # bool, subclasses
-        return json.dumps(value)
-    else:
-        return _json_text(_json_value(value), pad)
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+    items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+    return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
 
 
 def report_json(command: str, config: dict[str, Any], result: dict[str, Any]) -> str:

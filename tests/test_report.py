@@ -20,10 +20,8 @@ from minkdim.cli import COMMANDS, build_parser
 from minkdim.report import (
     DECIMAL_SIGNIFICANT_DIGITS,
     SCHEMA_VERSION,
-    _json_value,
     _parsed,
     decimal_str,
-    exact_number,
     format_record,
     format_rows,
     fraction_str,
@@ -76,8 +74,8 @@ class TestDecimalRendering:
 
     def test_fraction_and_pair(self):
         assert fraction_str(Fraction(2, 7)) == "2/7"
-        pair = exact_number(Fraction(2, 7))
-        assert pair == {"exact": "2/7", "decimal": "0.285714285714286"}
+        payload = json.loads(report_json("eval", {}, {"value": Fraction(2, 7)}))
+        assert payload["result"]["value"] == {"exact": "2/7", "decimal": "0.285714285714286"}
 
     def test_mpf_rendering(self):
         from mpmath import mpf
@@ -103,6 +101,17 @@ def command_records(argv: list[str]):
     return COMMANDS[args.command].run(args)
 
 
+def json_default(value):
+    """The contract's JSON form of what ``json.dumps`` cannot spell: a
+    Fraction (and any subclass) as its exact and decimal pair, an Enum as its
+    value."""
+    if isinstance(value, Fraction):
+        return {"exact": fraction_str(value), "decimal": decimal_str(value)}
+    if isinstance(value, Enum):
+        return value.value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def dumps_report(command: str, config: dict, result: dict) -> str:
     """The JSON report as ``json.dumps(indent=2)`` writes it."""
     report = {
@@ -112,7 +121,7 @@ def dumps_report(command: str, config: dict, result: dict) -> str:
         "result": result,
         "diagnostics": {"tool_version": __version__},
     }
-    return json.dumps(report, indent=2, default=_json_value)
+    return json.dumps(report, indent=2, default=json_default)
 
 
 class Colour(Enum):
@@ -151,8 +160,12 @@ def ints_then(last):
     return st.tuples(st.lists(WIDE_INTS, max_size=4), last).map(lambda t: [*t[0], t[1]])
 
 
+DYADICS = st.builds(
+    DyadicRational, WIDE_INTS, st.integers(min_value=0, max_value=80).map(lambda e: 2**e)
+)
 # The values the JSON writer spells in one step, and the look-alikes it must
-# leave to the generic path: bool and IntEnum items, Fraction subclasses.
+# tell apart: bool and IntEnum items (written as json.dumps spells them),
+# Fraction subclasses alone and in a column (written as the pair).
 JSON_ARMS = st.fixed_dictionaries(
     {
         "ints": st.lists(WIDE_INTS, min_size=1, max_size=6),
@@ -162,9 +175,8 @@ JSON_ARMS = st.fixed_dictionaries(
         "ranks": st.lists(st.sampled_from(Rank), min_size=1, max_size=6),
         "mixed": ints_then(st.sampled_from([True, *Rank])),
         "fraction": st.fractions(),
-        "dyadic": st.builds(
-            DyadicRational, WIDE_INTS, st.integers(min_value=0, max_value=80).map(lambda e: 2**e)
-        ),
+        "dyadic": DYADICS,
+        "dyadics": st.lists(DYADICS, min_size=2, max_size=4),
     }
 )
 SHARED = Fraction(-5, 3)  # one object in many cells of a table
@@ -263,9 +275,9 @@ class TestFormatRecord:
         # one Fraction object in several rows, beside others of equal value
         rows = [{"x": SHARED, "w": (1, 2)}, {"x": SHARED, "w": (8, 9)}]
         rows += [{"x": Fraction(-5, 3), "w": ()}, {"x": SHARED, "w": [3]}]
-        rows += [{"x": Fraction(1, 7), "w": (4,)}]
+        rows += [{"x": Fraction(1, 7), "w": (4,)}, {"x": DyadicRational(3, 8), "w": [5, 6]}]
         rows = [{**row, "n": 5} for row in rows]
-        template = "{x} {x:decimal} [{w:-}] {n:>3}"
+        template = "{x} {x:decimal} [{w:-}] {w:set} {n:>3}"
         assert format_rows(template, rows) == oracle_lines(template, rows)
 
     def test_no_rows_and_no_fields(self):
