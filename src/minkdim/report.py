@@ -23,6 +23,14 @@ of True is "1"); every other kind matches subclasses too, so a
 ``DyadicRational`` is written as the Fraction it is.  Outside a column JSON
 writes only a lone dict, joined key by key, and a lone exact scalar, by the
 same table of scalar writers.
+
+A column of words (lists or tuples: a text field joined by its spec or braced
+as a set, or JSON's all-int lists) is written by one %-format per distinct
+word length, ``head + sep.join(["%s"] * n) + tail``, applied to each
+``tuple(word)``, with any "%" in head, separator or tail escaped.  ``%s`` is
+``str()``, so no item is type-checked or looked up by value (a lookup would
+merge True into 1); JSON's brackets and indent are in the format, and its
+empty word is "[]".
 """
 
 from __future__ import annotations
@@ -120,11 +128,24 @@ def _field_cells(values: Sequence, kind: type | None, spec: str) -> Iterable[str
         if issubclass(kind, Fraction):
             return map(decimal_str if spec == "decimal" else fraction_str, values)
         if issubclass(kind, (list, tuple)):  # words: joined by the spec, or braced as a set
-            words = map(map, repeat(str), values)
             if spec == "set":
-                return map("{{{}}}".format, map(", ".join, words))
-            return map(spec.join, words)
+                return _words(values, "{", ", ", "}")
+            return _words(values, "", spec, "")
     return map(format, values, repeat(spec))
+
+
+def _words(
+    words: Sequence, head: str, sep: str, tail: str, empty: str | None = None
+) -> Iterable[str]:
+    """``head + sep.join(map(str, word)) + tail`` for each word (``empty``, a
+    %-format, for the empty word if given), by one %-format per distinct word
+    length: ``%s`` is ``str()``, so the items need no type check."""
+    head, sep, tail = (text.replace("%", "%%") for text in (head, sep, tail))
+    lengths = [*map(len, words)]
+    formats = {n: head + sep.join(["%s"] * n) + tail for n in {*lengths}}
+    if empty is not None and 0 in formats:
+        formats[0] = empty
+    return map(str.__mod__, map(formats.__getitem__, lengths), map(tuple, words))
 
 
 def format_rows(template: str, rows: list[dict[str, Any]]) -> list[str]:
@@ -168,9 +189,8 @@ def _json_cells(values: Sequence, kind: type | None, pad: str) -> Iterable[str]:
     inner = pad + "  "
     if issubclass(kind, (list, tuple)):
         if {*map(type, chain.from_iterable(values))} <= {int}:
-            joined = map(f",\n{inner}".join, map(map, repeat(int.__repr__), values))
-        else:
-            joined = (f",\n{inner}".join(_column(items, _json_cells, inner)) for items in values)
+            return _words(values, f"[\n{inner}", f",\n{inner}", f"\n{pad}]", empty="[]")
+        joined = (f",\n{inner}".join(_column(items, _json_cells, inner)) for items in values)
         return [f"[\n{inner}{items}\n{pad}]" if items else "[]" for items in joined]
     if issubclass(kind, dict):
         if len(keys := {*map(tuple, values)}) == 1 and (key_order := keys.pop()):

@@ -15,7 +15,11 @@ exact `fractions.Fraction`:
   * image cylinders: the exact hull of the image points with a given digit
     head, whose diameters contract by 2^-k per appended digit k.  A whole
     depth is enumerated in integers: every hull endpoint is an integer over
-    2^(digit sum) times the common denominator of inf and sup.
+    2^(digit sum) times the common denominator of inf and sup.  The integers
+    are built a depth at a time, so memory holds the last depth's three
+    lists (words, mantissas, digit sums: S^depth entries each) in place of a
+    depth-first stack of O(depth S) entries; ``construct``, the caller,
+    keeps every row of that depth anyway.
 """
 
 from __future__ import annotations
@@ -128,13 +132,17 @@ def image_hulls(K: DigitSet, depth: int, budget: int = DEFAULT_BUDGET) -> Iterat
 
 
 def _hull_walk(K: DigitSet, depth: int) -> Iterator[tuple]:
-    """The integer walk behind ``image_hulls``.
+    """The integer build behind ``image_hulls``, a depth at a time.
 
     With inf = a/D and sup = b/D, the word with head value m/2^A (A its
     digit sum) has the hull [mD + a, mD + b] / (2^A D) at even n and
     [mD - b, mD - a] / (2^A D) at odd n: one integer check orders them all.
     Appending digit k to a length-j word gives m 2^k + 2 (-1)^j and A + k.
-    The diameter is (b - a) / (2^A D), kept per A.
+    Each depth's words, m and A are three lists, one comprehension each,
+    children in parent order and digits ascending.  Memory holds the last
+    depth's three lists (S^depth entries each, beside the previous depth's
+    while they are built) in place of a depth-first stack of O(depth S)
+    entries.  The diameter is (b - a) / (2^A D), built once per distinct A.
     """
     inf0, sup0 = image_inf(K), image_sup(K)
     den = lcm(inf0.denominator, sup0.denominator)
@@ -142,15 +150,15 @@ def _hull_walk(K: DigitSet, depth: int) -> Iterator[tuple]:
     c_lo, c_hi = (a, b) if depth % 2 == 0 else (-b, -a)
     if not c_lo < c_hi:
         raise ValueError(f"image hulls need inf < sup, got [{inf0}, {sup0}]")
-    diameters: dict[int, Fraction] = {}  # digit sum -> its one diameter
-    stack = [((), 0, 0)]  # (word, m, A); O(depth S) entries at a time
-    while stack:
-        word, m, total = stack.pop()
-        if len(word) == depth:
-            base, scale = m * den, den << total
-            if (diameter := diameters.get(total)) is None:
-                diameter = diameters[total] = Fraction(b - a, scale)
-            yield word, Fraction(base + c_lo, scale), Fraction(base + c_hi, scale), diameter
-            continue
-        step = -2 if len(word) % 2 else 2
-        stack += [(word + (k,), (m << k) + step, total + k) for k in reversed(K.digits)]
+    digits = K.digits
+    words: list[tuple[int, ...]] = [()]
+    ms, sums = [0], [0]
+    for j in range(depth):
+        step = -2 if j % 2 else 2
+        words = [word + (k,) for word in words for k in digits]
+        ms = [(m << k) + step for m in ms for k in digits]
+        sums = [total + k for total in sums for k in digits]
+    diameters = {total: Fraction(b - a, den << total) for total in {*sums}}
+    for word, m, total in zip(words, ms, sums):
+        base, scale = m * den, den << total
+        yield word, Fraction(base + c_lo, scale), Fraction(base + c_hi, scale), diameters[total]

@@ -329,6 +329,25 @@ class TestEmpiricalCommand:
         assert len(err) == 1 and err[0].startswith("error:") and len(err[0]) < 200
 
 
+PINNED_TABLES = {  # (digits, depth) of the exact workload's 4096-row tables -> sha256
+    ("1,6", "12"): {
+        "text": "7acc45855c6f6450945afec2eb58bbbb578da325307ce4d8d28566075560fd9f",
+        "csv": "6d9ed7ff52960237b4eb65a67845b7ba5d1033dabf39ab9cf6950cdd7d2e1f56",
+        "json": "4c4730a98c0fa871a448823bbc94c77014ff0b4d4a4612c66749df708ae3ef83",
+    },
+    ("2,3,5,8", "6"): {
+        "text": "e63b389f40f98ed61a8069c2fdfec8a1a566f3df805a470e46bd4f747406fa37",
+        "csv": "b776c67bef5e9e25cb37328c6981c55501dbd1d29d0dcbb744cfb43a01bd7630",
+        "json": "0159449c3970121e576ca2870090aa02bd9cd1bed8e9568336a8fa605681bdef",
+    },
+    ("1,3,4,6,7,9,10,12", "4"): {  # two-character digits
+        "text": "6c1aa5890fc1e59c8f1f97b8a79ba94434cde75ad76b0b098dc8c735547bcb38",
+        "csv": "20c738a59df5b85885be35bbc406c6a3734a27dd83c1cd65105f2761a2f9f48b",
+        "json": "a4d97aa5e460e051499c6234651013d489ae8e4050e923b175a845687cf0bafc",
+    },
+}
+
+
 class TestConstructCommand:
     def test_depth_zero_whole_image(self, capsys):
         rc = main(["construct", "--digits", "1,2", "--depth", "0", "--format", "json"])
@@ -366,17 +385,17 @@ class TestConstructCommand:
         assert main(argv) == EXIT_USAGE  # a budget must be positive
 
     @pytest.mark.parametrize(
-        "fmt, digest",
+        "digits, depth, fmt, digest",
         [
-            ("text", "7acc45855c6f6450945afec2eb58bbbb578da325307ce4d8d28566075560fd9f"),
-            ("csv", "6d9ed7ff52960237b4eb65a67845b7ba5d1033dabf39ab9cf6950cdd7d2e1f56"),
-            ("json", "4c4730a98c0fa871a448823bbc94c77014ff0b4d4a4612c66749df708ae3ef83"),
+            pytest.param(digits, depth, fmt, digest, id=f"{fmt}-{digest}")
+            for (digits, depth), digests in PINNED_TABLES.items()
+            for fmt, digest in digests.items()
         ],
     )
-    def test_4096_cylinder_table_is_pinned(self, capsys, fmt, digest):
+    def test_4096_cylinder_table_is_pinned(self, capsys, digits, depth, fmt, digest):
         # the renderer oracles in test_report compare renderers with each
-        # other; these digests tie the whole 4096-row table to fixed bytes
-        argv = ["construct", "--digits", "1,6", "--depth", "12", "--format", fmt]
+        # other; these digests tie each whole 4096-row table to fixed bytes
+        argv = ["construct", "--digits", digits, "--depth", depth, "--format", fmt]
         assert main(argv) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

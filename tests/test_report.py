@@ -237,6 +237,11 @@ class TestJsonWriter:
         result = {"tree": tree, "arms": arms}  # every example holds every arm
         assert report_json("x", config, result) == dumps_report("x", config, result)
 
+    def test_empty_word(self):
+        text = report_json("x", {}, {"words": [[], [1, 2], [3]]})
+        assert '"words": [\n      [],\n      [\n        1,\n        2\n      ],' in text
+        assert json.loads(text)["result"]["words"] == [[], [1, 2], [3]]
+
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError, match="complex"):
             report_json("x", {}, {"z": 1j})
@@ -279,6 +284,14 @@ class TestFormatRecord:
         rows = [{**row, "n": 5} for row in rows]
         template = "{x} {x:decimal} [{w:-}] {w:set} {n:>3}"
         assert format_rows(template, rows) == oracle_lines(template, rows)
+
+    def test_word_edge_cases(self):
+        # mixed lengths, a list, the empty word, bool and float items, and a
+        # "%" in an item, in the separator and in the set braces' items
+        rows = [{"w": (1, True)}, {"w": [2, 1.5]}, {"w": ()}, {"w": ("a%s",)}]
+        assert format_rows("{w:-}", rows) == ["1-True", "2-1.5", "", "a%s"]
+        assert format_rows("{w:%}", [{"w": (1, 2)}]) == ["1%2"]
+        assert format_rows("{w:set}", [{"w": (3, 10)}, {"w": ("%d",)}]) == ["{3, 10}", "{%d}"]
 
     def test_no_rows_and_no_fields(self):
         assert format_rows("{missing}", []) == []
