@@ -39,6 +39,19 @@ def _checked_prefix(prefix: Sequence[int]) -> tuple[int, ...]:
     return word
 
 
+def _lowest_terms(cls, n: int, d: int):
+    """The Fraction (or subclass ``cls``) n/d from coprime ints n and d > 0.
+
+    Skips ``Fraction.__new__``, its type checks and its gcd: it sets the two
+    slots directly, as CPython 3.12's ``Fraction._from_coprime_ints`` does.
+    The caller owes the reduced form; ``cls`` adds no slots of its own.
+    """
+    self = object.__new__(cls)
+    self._numerator = n
+    self._denominator = d
+    return self
+
+
 def primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
     """The shortest word whose repetition spells ``word``."""
     n = len(word)
@@ -67,6 +80,18 @@ class ContinuedFraction:
         object.__setattr__(self, "period", primitive_root(_checked_digits(self.period)))
         if not self.preperiod and not self.period:
             raise ValueError("a continued fraction needs at least one digit")
+
+    @classmethod
+    def _unchecked(cls, preperiod: tuple[int, ...]) -> "ContinuedFraction":
+        """The finite expansion [0; preperiod], skipping ``__post_init__``.
+
+        The caller owes what that check would leave unchanged: a nonempty
+        tuple of ints >= 1.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", ())
+        return self
 
     @property
     def is_finite(self) -> bool:
@@ -156,7 +181,9 @@ def cf_from_rational(p: int, q: int) -> ContinuedFraction:
     """Expand p/q in (0, 1] by the Euclidean algorithm.
 
     The result is canonical: its last digit is >= 2 unless the expansion is
-    exactly [0; 1].  Inputs outside (0, 1] are rejected.
+    exactly [0; 1].  Inputs outside (0, 1] are rejected.  Euclid's quotients
+    of ints are ints >= 1 and the period is empty, so the expansion is built
+    without ``ContinuedFraction``'s re-check of its digits.
     """
     if q <= 0:
         raise ValueError("denominator must be positive")
@@ -168,7 +195,7 @@ def cf_from_rational(p: int, q: int) -> ContinuedFraction:
         quot, rem = divmod(a, b)
         digits.append(quot)
         a, b = b, rem
-    return ContinuedFraction(tuple(digits))
+    return ContinuedFraction._unchecked(tuple(digits))
 
 
 def cf_value(cf: ContinuedFraction) -> Fraction:

@@ -14,14 +14,20 @@ its denominator is a power of two), an eventually periodic expansion one
 digit prefix a certified `cf_core.RationalInterval` around its mantissa from
 the alternating-series bracket.  Floating point never enters; the sup/inf
 identities downstream hold bit-exactly.
+
+Exact values are built in lowest terms without a gcd over the whole
+numerator: M = 2 * odd for every nonempty word, so a finite value is
+(M / 2) / 2^(A - 1) outright, and a periodic value's denominator is an odd
+d times a power of two, so its gcd is one of d-sized integers and a shift.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-from .cf_core import ContinuedFraction, RationalInterval, _checked_prefix
+from .cf_core import ContinuedFraction, RationalInterval, _checked_prefix, _lowest_terms
 
 
 class DyadicRational(Fraction):
@@ -30,7 +36,8 @@ class DyadicRational(Fraction):
     Takes Fraction's own arguments, so DyadicRational(3, 4) is 3/4, and
     raises ValueError on any other denominator.  ``mantissa`` and
     ``exponent`` read the reduced form m/2^e: an odd mantissa, or zero over
-    2^0.  Arithmetic returns plain Fractions.
+    2^0.  Arithmetic returns plain Fractions.  ``minkowski_finite`` builds
+    its values in that reduced form directly, past these checks.
     """
 
     __slots__ = ()
@@ -83,11 +90,13 @@ def minkowski_finite(cf: ContinuedFraction) -> DyadicRational:
     """Exact value on a finite word; always lands in (0, 1].
 
     Both words naming the same rational give the same value, e.g.
-    [0; 1, 1] and [0; 2] both map to 1/2.
+    [0; 1, 1] and [0; 2] both map to 1/2.  Horner's last step leaves
+    M = 2 mod 4, so the reduced form is (M / 2) / 2^(A - 1), built with no gcd.
     """
     if not cf.is_finite:
         raise ValueError("finite continued fraction required")
-    return DyadicRational(_mantissa(cf.preperiod), 1 << sum(cf.preperiod))
+    word = cf.preperiod
+    return _lowest_terms(DyadicRational, _mantissa(word) >> 1, 1 << (sum(word) - 1))
 
 
 def minkowski_enclosure(prefix: Sequence[int]) -> RationalInterval:
@@ -112,10 +121,20 @@ def minkowski_periodic(cf: ContinuedFraction) -> Fraction:
         (M_H d + (-1)^m M_P) / (d 2^A),   d = 2^B - (-1)^p.
 
     An odd period needs no doubling: its negative ratio gives d = 2^B + 1.
+    d is odd and the numerator is (-1)^m M_P mod d, so the reduced form
+    divides out gcd(M_P, d), a gcd of B-bit integers, and then the power of
+    two the numerator shares with 2^A.
     """
     if cf.is_finite:
         raise ValueError("periodic continued fraction required")
     pre, period = cf.preperiod, cf.period
     d = (1 << sum(period)) + (1 if len(period) % 2 else -1)
     tail = _mantissa(period)
-    return Fraction(_mantissa(pre) * d + (-tail if len(pre) % 2 else tail), d << sum(pre))
+    if len(pre) % 2:
+        tail = -tail
+    g = gcd(tail, d)
+    d //= g
+    n = _mantissa(pre) * d + tail // g
+    a = sum(pre)
+    shift = min((n & -n).bit_length() - 1, a)
+    return _lowest_terms(Fraction, n >> shift, d << (a - shift))

@@ -25,7 +25,7 @@ exact `fractions.Fraction`:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .cf_core import (
@@ -34,6 +34,7 @@ from .cf_core import (
     DigitSet,
     RationalInterval,
     _checked_digits,
+    _lowest_terms,
     check_budget,
 )
 from .minkowski_eval import _tail_hull, minkowski_periodic
@@ -143,6 +144,11 @@ def _hull_walk(K: DigitSet, depth: int) -> Iterator[tuple]:
     depth's three lists (S^depth entries each, beside the previous depth's
     while they are built) in place of a depth-first stack of O(depth S)
     entries.  The diameter is (b - a) / (2^A D), built once per distinct A.
+
+    Endpoints are built in lowest terms without a gcd each: D is odd (inf
+    and sup are periodic values with an empty preperiod) and mD + c = c
+    (mod D), so an endpoint's gcd with 2^A D is gcd(c, D) 2^min(v, A), v its
+    2-adic valuation: one gcd per endpoint column, one shift per endpoint.
     """
     inf0, sup0 = image_inf(K), image_sup(K)
     den = lcm(inf0.denominator, sup0.denominator)
@@ -159,6 +165,18 @@ def _hull_walk(K: DigitSet, depth: int) -> Iterator[tuple]:
         ms = [(m << k) + step for m in ms for k in digits]
         sums = [total + k for total in sums for k in digits]
     diameters = {total: Fraction(b - a, den << total) for total in {*sums}}
+    g_lo, g_hi = gcd(c_lo, den), gcd(c_hi, den)
+    d_lo, c_lo, d_hi, c_hi = den // g_lo, c_lo // g_lo, den // g_hi, c_hi // g_hi
     for word, m, total in zip(words, ms, sums):
-        base, scale = m * den, den << total
-        yield word, Fraction(base + c_lo, scale), Fraction(base + c_hi, scale), diameters[total]
+        lo, hi = m * d_lo + c_lo, m * d_hi + c_hi
+        s_lo, s_hi = (lo & -lo).bit_length() - 1, (hi & -hi).bit_length() - 1
+        if s_lo > total:  # a compare, cheaper than a min() call per endpoint
+            s_lo = total
+        if s_hi > total:
+            s_hi = total
+        yield (
+            word,
+            _lowest_terms(Fraction, lo >> s_lo, d_lo << (total - s_lo)),
+            _lowest_terms(Fraction, hi >> s_hi, d_hi << (total - s_hi)),
+            diameters[total],
+        )

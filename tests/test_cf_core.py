@@ -8,12 +8,14 @@ Horner folding, and the convergent recurrence run by hand in the tests.
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
 from minkdim import (
     ContinuedFraction,
     DigitSet,
+    DyadicRational,
     RationalInterval,
     alternate_form,
     canonicalize,
@@ -22,6 +24,7 @@ from minkdim import (
     convergents,
     cylinder_interval,
 )
+from minkdim.cf_core import _lowest_terms
 
 
 def oracle_expand(p: int, q: int) -> tuple[int, ...]:
@@ -42,6 +45,28 @@ def oracle_convergent(word) -> tuple[int, int, int, int]:
     for a in word:
         pm1, qm1, p, q = p, q, a * p + pm1, a * q + qm1
     return pm1, qm1, p, q
+
+
+class TestLowestTerms:
+    def test_matches_fraction_on_coprime_pairs(self):
+        rng = random.Random(2028)
+        for _ in range(500):
+            n = rng.randint(-(10**40), 10**40)
+            d = rng.randint(1, 10 ** rng.randint(1, 40))
+            g = gcd(n, d)
+            n, d = n // g, d // g
+            got, ref = _lowest_terms(Fraction, n, d), Fraction(n, d)
+            assert type(got) is Fraction and got == ref and hash(got) == hash(ref)
+            assert (got.numerator, got.denominator) == (n, d)
+
+    def test_subclass_keeps_its_type(self):
+        rng = random.Random(2029)
+        for _ in range(200):
+            e = rng.randint(0, 300)
+            n = rng.randrange(-(1 << 200), 1 << 200) | (1 if e else 0)
+            got, ref = _lowest_terms(DyadicRational, n, 1 << e), DyadicRational(n, 1 << e)
+            assert type(got) is DyadicRational and got == ref and hash(got) == hash(ref)
+            assert (got.mantissa, got.exponent) == (ref.mantissa, ref.exponent)
 
 
 class TestTypes:

@@ -10,9 +10,10 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from minkdim import (
@@ -24,6 +25,7 @@ from minkdim import (
     minkowski_finite,
     minkowski_periodic,
 )
+from minkdim.minkowski_eval import _mantissa
 
 
 def oracle_series(word) -> Fraction:
@@ -42,6 +44,24 @@ def oracle_periodic(pre, period) -> Fraction:
     block = period if len(period) % 2 == 0 else period * 2
     tail = oracle_series(block) / (1 - Fraction(1, 2 ** sum(block)))
     return oracle_series(pre) + (-1) ** len(pre) * tail / 2 ** sum(pre)
+
+
+def euclid_digits(p: int, q: int) -> tuple[int, ...]:
+    """The partial quotients of p/q, by the textbook Euclidean algorithm."""
+    digits = []
+    while p:
+        digits.append(q // p)
+        p, q = q % p, p
+    return tuple(digits)
+
+
+@st.composite
+def unit_rationals(draw):
+    """(p, q) with 0 < p <= q <= 10^40: q of 1 to 40 digits, p uniform, p = q one time in ten."""
+    rng = draw(st.randoms(use_true_random=False))
+    q = rng.randint(1, 10 ** draw(st.integers(1, 40)))
+    p = q if draw(st.integers(0, 9)) == 0 else rng.randint(1, q)
+    return p, q
 
 
 prop = settings(database=None, deadline=None, max_examples=200)
@@ -144,6 +164,32 @@ class TestFinite:
         assert value.as_fraction() == oracle_series(word)
         assert value.mantissa % 2 == 1
         assert value.exponent == sum(word) - 1
+
+    @prop
+    @given(unit_rationals())
+    @example((1, 1))
+    @example((10**40, 10**40))
+    @example((2, 4))  # not coprime
+    @example(  # F_192 / F_193: the longest word with q < 10^40, 190 ones and a 2
+        (5972304273877744135569338397692020533504, 9663391306290450775010025392525829059713)
+    )
+    def test_built_in_lowest_terms(self, pq):
+        """cf_from_rational and minkowski_finite skip their constructors' checks
+        and gcd; what they build must equal what those constructors build."""
+        p, q = pq
+        word = euclid_digits(p, q)
+        assume(sum(word) <= 10**6)
+        cf = cf_from_rational(p, q)
+        checked = ContinuedFraction(word)
+        assert (cf.preperiod, cf.period) == (checked.preperiod, checked.period) == (word, ())
+        assert all(type(d) is int for d in cf.preperiod)
+        assert cf == checked and hash(cf) == hash(checked)
+        value = minkowski_finite(cf)
+        ref = DyadicRational(_mantissa(word), 1 << sum(word))
+        assert type(value) is DyadicRational
+        assert (value.numerator, value.denominator) == (ref.numerator, ref.denominator)
+        assert hash(value) == hash(ref) and value == ref
+        assert gcd(value.numerator, value.denominator) == 1
 
     def test_range(self):
         rng = random.Random(43)
@@ -267,6 +313,28 @@ class TestPeriodic:
         value = minkowski_periodic(cf)
         assert type(value) is Fraction
         assert value == oracle_periodic(cf.preperiod, cf.period)
+
+    @prop
+    @given(
+        st.lists(st.integers(1, 200), max_size=8).map(tuple),
+        st.lists(st.integers(1, 200), min_size=1, max_size=7).map(tuple),
+    )
+    @example((), (1, 2))  # empty preperiod, the shape of every image extreme
+    @example((), (2, 4))  # d = 63 shares 3 with M_P = 30
+    @example((1, 3), (3, 6))  # d = 511 shares 7 with M_P = 126
+    @example((2,), (2,))  # N = 8 has more twos than 2^A = 4: an odd denominator
+    def test_reduced_form_skips_the_full_gcd(self, pre, period):
+        """Reduced by gcd(M_P, d) and a shift: the same fraction as Fraction(N, d 2^A)."""
+        cf = ContinuedFraction(pre, period)
+        pre, period = cf.preperiod, cf.period
+        d = (1 << sum(period)) + (1 if len(period) % 2 else -1)
+        n = _mantissa(pre) * d + (-1) ** len(pre) * _mantissa(period)
+        ref = Fraction(n, d << sum(pre))
+        value = minkowski_periodic(cf)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (ref.numerator, ref.denominator)
+        assert hash(value) == hash(ref)
+        assert gcd(value.numerator, value.denominator) == 1
 
     def test_partial_sums_bracket_value(self):
         rng = random.Random(21)

@@ -10,6 +10,7 @@ using any closed form from the module under test.
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -269,6 +270,18 @@ class TestImageHulls:
                 hulls = list(image_hulls(K, depth))
                 assert len(hulls) == len(K) ** depth
                 assert hulls == closed_form_hulls(K, depth)
+
+    @pytest.mark.parametrize("depth", [1, 3, 5])
+    @pytest.mark.parametrize("digits", [(1, 40), (17, 40), (39, 40), (2, 11, 40), (6, 9, 24, 40)])
+    def test_large_digits_at_odd_depths(self, digits, depth):
+        """Odd depths take the (-b, -a) endpoint column; every endpoint is reduced."""
+        K = DigitSet(digits)
+        hulls = list(image_hulls(K, depth))
+        assert hulls == closed_form_hulls(K, depth)
+        for _, lo, hi, _ in hulls:
+            assert type(lo) is type(hi) is Fraction
+            assert gcd(lo.numerator, lo.denominator) == 1
+            assert gcd(hi.numerator, hi.denominator) == 1
 
     def test_depth_zero_is_whole_image(self):
         K = DigitSet((2, 5, 9))
