@@ -54,7 +54,7 @@ from .empirical_dim import Side, estimate_series, successive_differences
 from .errors import BudgetExceededError, ToleranceError
 from .minkowski_eval import minkowski_finite, minkowski_periodic
 from .moran_solver import MoranRoot, moran_root
-from .report import format_record, format_rows, mpf_str, report_json
+from .report import format_rows, mpf_str, report_json
 from .selfsimilar import image_hulls
 
 EXIT_OK = 0
@@ -301,9 +301,9 @@ def _render(name: str, fmt: str, config: dict, result: dict, rows: list[dict]) -
     cmd = COMMANDS[name]
     head, line, *foot = cmd.text if fmt == "text" else cmd.csv
     scope = {**config, **result}
-    lines = [format_record(head, scope), *format_rows(line, rows)]
+    lines = [*format_rows(head, [scope]), *format_rows(line, rows)]
     if foot and len(rows) > 1:
-        lines.append(format_record(foot[0], scope))
+        lines += format_rows(foot[0], [scope])
     return "\n".join(lines) + "\n"
 
 

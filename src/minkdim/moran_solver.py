@@ -13,16 +13,17 @@ safeguarded by bisection; f is convex, so a Newton step from the left of
 the root never passes it.  The steps start at the root of the same
 equation solved in float64, which two 128-bit evaluations polish, or at
 the bracket's midpoint where float64 cannot hold the equation (a digit of
-2^53 or more).  Both sums come
-from one pass of ``_moran_sums``: one mpmath power for the leading term
-2^(-k1 s), whose exponent never underflows, times a sum of powers of
-x = 2^-s in Python-integer fixed point with enough guard bits for the
-working precision.  Once Newton meets its residual target, one more Newton
-step at twice the working precision, rounded back to the working one, gives
-the root rounded to nearest at 128 bits, whatever path the solver took.  So
-results are deterministic bit-for-bit, rounding noise cannot make a root
-fall when a digit is added, and identities like root(c*K) = root(K)/c hold
-to working precision, not just to tolerance.
+2^53 or more) or its rounding breaks the float64 solve's bracket (as for
+{4271920223403974, 4271920223403975}, whose two terms cancel).  Both
+sums come from one pass of ``_moran_sums``: one mpmath power for the
+leading term 2^(-k1 s), whose exponent never underflows, times a sum of
+powers of x = 2^-s in Python-integer fixed point with enough guard bits
+for the working precision.  Once Newton meets its residual target, one
+more Newton step at twice the working precision, rounded back to the
+working one, gives the root rounded to nearest at 128 bits, whatever path
+the solver took.  So results are deterministic bit-for-bit, rounding noise
+cannot make a root fall when a digit is added, and identities like
+root(c*K) = root(K)/c hold to working precision, not just to tolerance.
 """
 
 from __future__ import annotations

@@ -20,9 +20,7 @@ by many rows is rendered once).  The cells function, ``_field_cells`` or
 written; a column of mixed types goes through it one value at a time, and a
 lone value is a column of one.  Scalars match by exact type (``int.__repr__``
 of True is "1"); every other kind matches subclasses too, so a
-``DyadicRational`` is written as the Fraction it is.  Outside a column JSON
-writes only a lone dict, joined key by key, and a lone exact scalar, by the
-same table of scalar writers.
+``DyadicRational`` is written as the Fraction it is.
 
 A column of words (lists or tuples: a text field joined by its spec or braced
 as a set, or JSON's all-int lists) is written by one %-format per distinct
@@ -163,11 +161,6 @@ def format_rows(template: str, rows: list[dict[str, Any]]) -> list[str]:
     return list(map(skeleton.format, *columns))
 
 
-def format_record(template: str, record: dict[str, Any]) -> str:
-    """The one line ``format_rows`` makes of ``record``."""
-    return format_rows(template, [record])[0]
-
-
 _JSON_SCALARS = {  # the bulk of a report, at C speed
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -180,12 +173,13 @@ _JSON_SCALARS = {  # the bulk of a report, at C speed
 def _json_cells(values: Sequence, kind: type | None, pad: str) -> Iterable[str]:
     """Each value as ``json.dumps(indent=2)`` text, ``pad`` deep, at C speed
     where ``kind`` allows; a column of mixed types (``kind`` None) one value
-    at a time.  Dicts with one key order, and at least one key, are a table:
-    one row skeleton from the keys, filled a column at a time."""
+    at a time.  Dicts with one key order are a table: one row skeleton from
+    the keys, filled a column at a time; dicts in several key orders go one
+    at a time, and an empty dict is "{}"."""
     if (encode := _JSON_SCALARS.get(kind)) is not None:
         return map(encode, values)
     if kind is None:
-        return map(_json_text, values, repeat(pad))
+        return [cell for value in values for cell in _json_cells([value], type(value), pad)]
     inner = pad + "  "
     if issubclass(kind, (list, tuple)):
         if {*map(type, chain.from_iterable(values))} <= {int}:
@@ -193,35 +187,23 @@ def _json_cells(values: Sequence, kind: type | None, pad: str) -> Iterable[str]:
         joined = (f",\n{inner}".join(_column(items, _json_cells, inner)) for items in values)
         return [f"[\n{inner}{items}\n{pad}]" if items else "[]" for items in joined]
     if issubclass(kind, dict):
-        if len(keys := {*map(tuple, values)}) == 1 and (key_order := keys.pop()):
-            row = "{{\n" + ",\n".join(
-                _literal(f"{inner}{encode_basestring_ascii(k)}: ") + "{}" for k in key_order
-            ) + f"\n{pad}}}}}"
-            columns = [_column(c, _json_cells, inner) for c in zip(*map(dict.values, values))]
-            return map(row.format, *columns)
-        return map(_json_text, values, repeat(pad))
+        if len(keys := {*map(tuple, values)}) > 1:
+            return [cell for value in values for cell in _json_cells([value], kind, pad)]
+        if not (key_order := keys.pop()):
+            return ["{}"] * len(values)
+        row = "{{\n" + ",\n".join(
+            _literal(f"{inner}{encode_basestring_ascii(k)}: ") + "{}" for k in key_order
+        ) + f"\n{pad}}}}}"
+        columns = [_column(c, _json_cells, inner) for c in zip(*map(dict.values, values))]
+        return map(row.format, *columns)
     if issubclass(kind, Fraction):  # the {"exact", "decimal"} pair; its strings need no escapes
         pair = f'{{{{\n{inner}"exact": "{{}}",\n{inner}"decimal": "{{}}"\n{pad}}}}}'
         return map(pair.format, map(fraction_str, values), map(decimal_str, values))
     if issubclass(kind, (str, int, float)):  # IntEnum and other subclasses
         return map(json.dumps, values)
     if issubclass(kind, Enum):
-        return map(_json_text, [value.value for value in values], repeat(pad))
+        return _column([value.value for value in values], _json_cells, pad)
     raise TypeError(f"{kind.__name__} is not JSON serializable")
-
-
-def _json_text(value: Any, pad: str = "") -> str:
-    """``json.dumps(value, indent=2)`` of a string-keyed record, written
-    ``pad`` deep, with the value kinds of ``_json_cells``."""
-    if (encode := _JSON_SCALARS.get(type(value))) is not None:  # the bulk, skipping a column
-        return encode(value)
-    if not isinstance(value, dict):
-        return "".join(_json_cells([value], type(value), pad))
-    if not value:
-        return "{}"
-    inner = pad + "  "
-    items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-    return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
 
 
 def report_json(command: str, config: dict[str, Any], result: dict[str, Any]) -> str:
@@ -233,4 +215,4 @@ def report_json(command: str, config: dict[str, Any], result: dict[str, Any]) ->
         "result": result,
         "diagnostics": {"tool_version": __version__},
     }
-    return _json_text(report)
+    return _column([report], _json_cells, "")[0]

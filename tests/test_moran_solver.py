@@ -411,3 +411,22 @@ class TestFloatStart:
     @pytest.mark.parametrize("digits", [(1, 2**53), (1, 10**16), (2**60, 2**60 + 1)])
     def test_none_past_float64_integers(self, digits):
         assert _float_root(DigitSet(digits), mpf(1)) is None
+
+    def test_none_where_float64_breaks_the_bracket(self):
+        # both digits below 2^53, but at hi = 1/k1 float64 psi reads +0.5: two
+        # terms of about 3e15 cancel, the bracket check fails, and the 128-bit
+        # solve starts at the midpoint
+        K = DigitSet((4271920223403974, 4271920223403975))
+        starts = []
+
+        def spy(K, hi):
+            starts.append(_float_root(K, hi))
+            return starts[-1]
+
+        with patch.object(moran_solver, "_float_root", spy):
+            root = moran_root(K)
+        assert starts == [None]
+        assert root.iterations == 11
+        with mp.workprec(256):
+            ulp = mpf(2) ** (mp.mag(root.s) - PRECISION_BITS)
+            assert moran_minus_one(K, root.s - ulp) > 0 > moran_minus_one(K, root.s + ulp)

@@ -15,14 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minkdim import DyadicRational, __version__
+from minkdim import DyadicRational, Preservation, __version__
 from minkdim.cli import COMMANDS, build_parser
 from minkdim.report import (
     DECIMAL_SIGNIFICANT_DIGITS,
     SCHEMA_VERSION,
     _parsed,
     decimal_str,
-    format_record,
     format_rows,
     fraction_str,
     mpf_str,
@@ -232,6 +231,10 @@ class TestJsonWriter:
         [{"w": (), "x": SHARED}, {"w": (1, 2), "x": SHARED}, {"w": [True], "x": 1.5}],
         [{"a": SHARED, "b": ()}, {"b": (), "a": SHARED}],
     )
+    @example({}, {}, {})  # lone empty dicts
+    @example({}, [{"a": 1, "b": 2}, {"b": 3, "a": 4}], {})  # dicts in two key orders
+    @example({}, [1, "a", None, Fraction(1, 3)], {})  # a column of mixed types
+    @example({}, Preservation.NOT_PRESERVED, {})  # a lone Enum
     @given(JSON_TREES, JSON_TREES, JSON_ARMS)
     def test_matches_json_dumps(self, config, tree, arms):
         result = {"tree": tree, "arms": arms}  # every example holds every arm
@@ -274,7 +277,7 @@ class TestFormatRecord:
         head, line, *foot = getattr(COMMANDS[argv[0]], fmt)
         assert format_rows(line, rows) == oracle_lines(line, rows)
         for template in (head, *foot):
-            assert format_record(template, scope) == oracle_lines(template, [scope])[0]
+            assert format_rows(template, [scope])[0] == oracle_lines(template, [scope])[0]
 
     def test_shared_objects_render_per_row(self):
         # one Fraction object in several rows, beside others of equal value
@@ -312,15 +315,15 @@ class TestFormatRecord:
     )
     def test_unsupported_fields_rejected(self, template):
         with pytest.raises(ValueError, match=re.escape(repr(template))):
-            format_record(template, {"x": 1, "y": "", "w": 3})
+            format_rows(template, [{"x": 1, "y": "", "w": 3}])[0]
 
     def test_literal_braces(self):
-        assert format_record("{{{x}}} }}{{", {"x": Fraction(1, 2)}) == "{1/2} }{"
+        assert format_rows("{{{x}}} }}{{", [{"x": Fraction(1, 2)}])[0] == "{1/2} }{"
 
     def test_lookups_and_specs(self):
         # a spec applies to the row key's value; no field looks into it
         record = {"x": Fraction(1, 3), "w": (1, 2), "k": 2}
         template = "{x} {x:decimal} {w:-} {w:set} {k:>3}"
-        assert format_record(template, record) == "1/3 0.333333333333333 1-2 {1, 2}   2"
+        assert format_rows(template, [record])[0] == "1/3 0.333333333333333 1-2 {1, 2}   2"
         with pytest.raises(ValueError, match="unsupported field"):
-            format_record("{x.numerator}", record)
+            format_rows("{x.numerator}", [record])[0]
