@@ -50,8 +50,6 @@ from .dim_bounds import (
 from .empirical_dim import (
     CoveringEstimate,
     Side,
-    covering_root_domain,
-    covering_root_image,
     estimate_series,
     successive_differences,
 )

@@ -270,7 +270,9 @@ def cylinder_interval(prefix: Sequence[int]) -> RationalInterval:
 
 
 def check_budget(K: DigitSet, depth: int, budget: int) -> None:
-    """Raise BudgetExceededError if S^depth exceeds a positive budget."""
+    """ValueError: negative depth or budget below 1.  BudgetExceededError: S^depth > budget."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     if budget < 1:
         raise ValueError("budget must be a positive integer")
     # S >= 2, so depth >= bit_length(budget) already gives S^depth > budget;

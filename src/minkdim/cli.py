@@ -13,14 +13,14 @@ computes the command's values once and returns the report ``config``, the
 JSON ``result`` and the flat row records that the text and CSV outputs list,
 built beside the result from the same values (``verdict``'s row holds its
 bounds, root and outcome side by side; ``moran``'s carries the digits); exact
-rationals stay Fractions until rendering.  ``construct`` builds its rows
-straight from ``selfsimilar.image_hulls``, which owns its budget check.  Only
-the format named by --format is rendered: JSON through ``report.report_json``,
-text and CSV through the entry's templates (a head line, one line per row
-record and, for text, an optional foot), which ``report.format_rows`` parses
-once.  A template names keys only: the head and foot are filled from the
-config and the result together, and the row lines from the row records alone,
-a column at a time.
+rationals stay Fractions until rendering.  ``construct`` checks its budget
+(exit 3), then its digit sum (exit 2), and only then builds its rows from
+``selfsimilar.image_hulls``.  Only the format named by --format is rendered:
+JSON through ``report.report_json``, text and CSV through the entry's
+templates (a head line, one line per row record and, for text, an optional
+foot), which ``report.format_rows`` parses once.  A template names keys
+only: the head and foot are filled from the config and the result together,
+and the row lines from the row records alone, a column at a time.
 
 Every subcommand accepts --format {text,json,csv} and --out PATH; moran,
 verdict and empirical take --tol, and empirical and construct take
@@ -48,6 +48,7 @@ from .cf_core import (
     ContinuedFraction,
     DigitSet,
     cf_from_rational,
+    check_budget,
 )
 from .dim_bounds import jarnik_bounds, preservation_verdict
 from .empirical_dim import Side, estimate_series, successive_differences
@@ -206,12 +207,12 @@ def _empirical(args) -> Records:
 
 def _construct(args) -> Records:
     K = parse_digit_spec(args.digits)
-    hulls = image_hulls(K, args.depth, args.budget)  # budget (exit 3) before digit sum
+    check_budget(K, args.depth, args.budget)  # depth, budget (exit 3), then digit sum (exit 2)
     if (total := K.digits[-1] * (args.depth + 2)) > MAX_DIGIT_SUM:  # + the hull's period
         raise ValueError(f"exact values too large: digit sum {total} exceeds {MAX_DIGIT_SUM}")
     rows = [
         {"word": word, "inf": inf, "sup": sup, "diameter": diameter}
-        for word, inf, sup, diameter in hulls
+        for word, inf, sup, diameter in image_hulls(K, args.depth, args.budget)
     ]
     config = {"digits": list(K.digits), "depth": args.depth, "budget": args.budget}
     return config, {"cylinders": rows}, rows

@@ -106,29 +106,6 @@ def _solve_covering(logs: np.ndarray, target: float) -> tuple[float, float, tupl
     return s, math.exp(res), (float(bracket[0]), float(bracket[1]))
 
 
-def covering_root_domain(
-    K: DigitSet, depth: int, tol: float = DEFAULT_TOLERANCE, budget: int = DEFAULT_BUDGET
-) -> CoveringEstimate:
-    """Root of sum(length^s) = 1 over the depth-n cylinders of the restricted set.
-
-    The sum sits at S^depth for s = 0 and strictly below 1 at s = 1 (the
-    restricted cylinders omit part of every parent interval), so the root is
-    unique in (0, 1).
-    """
-    return estimate_series(K, (depth,), Side.DOMAIN, tol, budget)[0]
-
-
-def covering_root_image(
-    K: DigitSet, depth: int, tol: float = DEFAULT_TOLERANCE, budget: int = DEFAULT_BUDGET
-) -> CoveringEstimate:
-    """Root over depth-n image cylinders, diameters normalized by the image diameter.
-
-    Each normalized diameter is exactly 2^-(digit sum), so the depth-n sum is the
-    depth-1 sum to the n-th power, whose root is the Moran root at every depth.
-    """
-    return estimate_series(K, (depth,), Side.IMAGE, tol, budget)[0]
-
-
 def estimate_series(
     K: DigitSet,
     depths: Iterable[int],
@@ -138,10 +115,14 @@ def estimate_series(
 ) -> list[CoveringEstimate]:
     """One covering estimate per depth, ascending, for stability diagnostics.
 
-    Domain layers are built once, up to the deepest depth; the image side solves
-    its depth-1 sum once.  ``wall_time_ms`` is the time since the previous
-    estimate.  Both sides check the budget at the deepest depth first, so a long
-    run cannot fail halfway.  ``tol`` must lie in the Moran solver's range.
+    Each depth's sum sits at S^depth for s = 0 and strictly below 1 at s = 1
+    (the restricted cylinders omit part of every parent interval; the image
+    sum there is (sum_k 2^-k)^depth), so its root is unique in (0, 1).
+    Domain layers are built once, up to the deepest depth; the image side
+    solves its depth-1 sum once.  ``wall_time_ms`` is the time since the
+    previous estimate.  Both sides check the budget at the deepest depth
+    first, so a long run cannot fail halfway.  ``tol`` must lie in the Moran
+    solver's range.
     ToleranceError: a log left float64.
     """
     check_tolerance(tol)

@@ -215,13 +215,13 @@ def _float_root(K: DigitSet, hi) -> float | None:
     2.0 ** (-s (k - k1)), the product formed before the power, so a wide gap
     costs no accuracy; the terms that would fall below 2^-1100 are zero in
     float64 and are not computed.  Returns None for a digit of 2^53 or
-    more, whose gaps float64 rounds, for an hi that rounds to 0 and where
-    float64 rounding breaks the bracket or the residual target; the 128-bit
-    solve then starts at its midpoint.
+    more, whose gaps float64 rounds, and where float64 rounding breaks the
+    bracket or the residual target; the 128-bit solve then starts at its
+    midpoint.
     """
     digits = K.digits
     k1, hi = digits[0], float(hi)
-    if digits[-1] >= 2**53 or not hi:
+    if digits[-1] >= 2**53:
         return None
 
     @lru_cache(maxsize=1)

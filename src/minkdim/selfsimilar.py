@@ -18,15 +18,15 @@ exact `fractions.Fraction`:
     2^(digit sum) times the common denominator of inf and sup.  The integers
     are built a depth at a time, so memory holds the last depth's three
     lists (words, mantissas, digit sums: S^depth entries each) in place of a
-    depth-first stack of O(depth S) entries; ``construct``, the caller,
-    keeps every row of that depth anyway.
+    depth-first stack of O(depth S) entries; ``image_hulls`` returns every
+    row of that depth anyway.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .cf_core import (
     DEFAULT_BUDGET,
@@ -117,45 +117,33 @@ def image_cylinder(K: DigitSet, word: Sequence[int]) -> RationalInterval:
     return _tail_hull(w, image_inf(K), image_sup(K))
 
 
-def image_hulls(K: DigitSet, depth: int, budget: int = DEFAULT_BUDGET) -> Iterator[tuple]:
+def image_hulls(K: DigitSet, depth: int, budget: int = DEFAULT_BUDGET) -> list[tuple]:
     """(word, inf, sup, diameter) of all S^depth image cylinders at the given
     depth, in lexicographic word order.
 
     Child hulls are nested in their parents and siblings have disjoint
-    interiors; the union at each depth covers the image set.  Depth 0 yields
-    the single whole-image hull.  Depth and budget violations raise at call
-    time; no exact value is built before the first ``next()``.
-    """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    check_budget(K, depth, budget)
-    return _hull_walk(K, depth)
-
-
-def _hull_walk(K: DigitSet, depth: int) -> Iterator[tuple]:
-    """The integer build behind ``image_hulls``, a depth at a time.
+    interiors; the union at each depth covers the image set.  Depth 0 gives
+    the single whole-image hull.  Depth and budget are checked before any
+    exact value is built.
 
     With inf = a/D and sup = b/D, the word with head value m/2^A (A its
     digit sum) has the hull [mD + a, mD + b] / (2^A D) at even n and
-    [mD - b, mD - a] / (2^A D) at odd n: one integer check orders them all.
-    Appending digit k to a length-j word gives m 2^k + 2 (-1)^j and A + k.
-    Each depth's words, m and A are three lists, one comprehension each,
-    children in parent order and digits ascending.  Memory holds the last
-    depth's three lists (S^depth entries each, beside the previous depth's
-    while they are built) in place of a depth-first stack of O(depth S)
-    entries.  The diameter is (b - a) / (2^A D), built once per distinct A.
+    [mD - b, mD - a] / (2^A D) at odd n; a < b because k1 < kS.  Appending
+    digit k to a length-j word gives m 2^k + 2 (-1)^j and A + k, so each
+    depth's words, m and A are three lists (see the module docstring), one
+    comprehension each, children in parent order and digits ascending.  The
+    diameter is (b - a) / (2^A D), built once per distinct A.
 
     Endpoints are built in lowest terms without a gcd each: D is odd (inf
     and sup are periodic values with an empty preperiod) and mD + c = c
     (mod D), so an endpoint's gcd with 2^A D is gcd(c, D) 2^min(v, A), v its
     2-adic valuation: one gcd per endpoint column, one shift per endpoint.
     """
+    check_budget(K, depth, budget)
     inf0, sup0 = image_inf(K), image_sup(K)
     den = lcm(inf0.denominator, sup0.denominator)
     a, b = int(inf0 * den), int(sup0 * den)
     c_lo, c_hi = (a, b) if depth % 2 == 0 else (-b, -a)
-    if not c_lo < c_hi:
-        raise ValueError(f"image hulls need inf < sup, got [{inf0}, {sup0}]")
     digits = K.digits
     words: list[tuple[int, ...]] = [()]
     ms, sums = [0], [0]
@@ -167,6 +155,7 @@ def _hull_walk(K: DigitSet, depth: int) -> Iterator[tuple]:
     diameters = {total: Fraction(b - a, den << total) for total in {*sums}}
     g_lo, g_hi = gcd(c_lo, den), gcd(c_hi, den)
     d_lo, c_lo, d_hi, c_hi = den // g_lo, c_lo // g_lo, den // g_hi, c_hi // g_hi
+    hulls = []
     for word, m, total in zip(words, ms, sums):
         lo, hi = m * d_lo + c_lo, m * d_hi + c_hi
         s_lo, s_hi = (lo & -lo).bit_length() - 1, (hi & -hi).bit_length() - 1
@@ -174,9 +163,10 @@ def _hull_walk(K: DigitSet, depth: int) -> Iterator[tuple]:
             s_lo = total
         if s_hi > total:
             s_hi = total
-        yield (
+        hulls.append((
             word,
             _lowest_terms(Fraction, lo >> s_lo, d_lo << (total - s_lo)),
             _lowest_terms(Fraction, hi >> s_hi, d_hi << (total - s_hi)),
             diameters[total],
-        )
+        ))
+    return hulls

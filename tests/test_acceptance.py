@@ -15,10 +15,10 @@ from mpmath import mp
 from minkdim import (
     DigitSet,
     Preservation,
+    Side,
     alternate_form,
     cf_from_rational,
-    covering_root_domain,
-    covering_root_image,
+    estimate_series,
     image_cylinder,
     image_diameter,
     image_inf,
@@ -121,17 +121,17 @@ def test_c08_factorization_identity():
     with criterion("C08 image covering roots equal Moran roots", 30.0):
         target = float(moran_root(NINE).s)
         for depth in range(1, 5):
-            assert abs(covering_root_image(NINE, depth).s_hat - target) <= 1e-8
+            assert abs(estimate_series(NINE, [depth], Side.IMAGE)[0].s_hat - target) <= 1e-8
         K = DigitSet((1, 2))
         target = float(moran_root(K).s)
         for depth in range(1, 11):
-            assert abs(covering_root_image(K, depth).s_hat - target) <= 1e-8
+            assert abs(estimate_series(K, [depth], Side.IMAGE)[0].s_hat - target) <= 1e-8
 
 
 def test_c09_domain_containment_and_stability():
     with criterion("C09 domain roots of {1..9} inside bounds, stable", 60.0):
         bounds = jarnik_bounds(9)
-        roots = [covering_root_domain(NINE, depth).s_hat for depth in (3, 4, 5)]
+        roots = [estimate_series(NINE, [depth], Side.DOMAIN)[0].s_hat for depth in (3, 4, 5)]
         for s in roots:
             assert bounds.lower < s < bounds.upper
         for a, b in zip(roots, roots[1:]):

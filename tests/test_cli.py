@@ -9,7 +9,7 @@ from decimal import Decimal
 import pytest
 from mpmath import mp, mpf
 
-from minkdim import DigitSet, Side, estimate_series, moran_root
+from minkdim import DigitSet, Side, estimate_series, moran_root, selfsimilar
 from minkdim.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -374,7 +374,9 @@ class TestConstructCommand:
         assert diameters == {"2/31", "1/31"}
 
     def test_negative_depth(self, capsys):
-        assert main(["construct", "--digits", "1,2", "--depth", "-1"]) == EXIT_USAGE
+        for digits in ("1,2", "1,20000"):  # the depth is checked before the digit sum
+            assert main(["construct", "--digits", digits, "--depth", "-1"]) == EXIT_USAGE
+            assert "depth must be nonnegative" in capsys.readouterr().err
 
     def test_budget(self, capsys):
         rc = main(
@@ -405,6 +407,16 @@ class TestConstructCommand:
         assert main(argv) == EXIT_BUDGET
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and len(err[0]) < 200
+
+    def test_digit_sum_refused_before_any_value(self, capsys, monkeypatch):
+        # the ceiling is checked before image_hulls builds an image extreme
+        def refuse(K):
+            raise AssertionError("an image extreme was built")
+
+        monkeypatch.setattr(selfsimilar, "image_inf", refuse)
+        argv = ["construct", "--digits", "1,20000", "--depth", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert f"digit sum 60000 exceeds {MAX_DIGIT_SUM}" in capsys.readouterr().err
 
 
 VALID_ARGV = {

@@ -22,8 +22,6 @@ from minkdim import (
     DigitSet,
     Side,
     bisect_newton,
-    covering_root_domain,
-    covering_root_image,
     cylinder_interval,
     empirical_dim,
     estimate_series,
@@ -60,29 +58,29 @@ def oracle_bisect(lengths, iterations=80):
 
 class TestDomain:
     def test_depth1_against_oracle(self):
-        est = covering_root_domain(K12, 1)
+        est = estimate_series(K12, [1], Side.DOMAIN)[0]
         expected = oracle_bisect([0.5, 1.0 / 6.0])
         assert est.cylinder_count == 2
         assert abs(est.s_hat - expected) <= 1e-9
         assert abs(est.s_hat - 0.6010) <= 1e-3
 
     def test_depth2_against_hand_lengths(self):
-        est = covering_root_domain(K12, 2)
+        est = estimate_series(K12, [2], Side.DOMAIN)[0]
         lengths = [1 / 6, 1 / 12, 1 / 15, 1 / 35]
         assert est.cylinder_count == 4
         assert abs(est.s_hat - oracle_bisect(lengths)) <= 1e-9
 
     def test_depth3_inside_reference_interval(self):
-        est = covering_root_domain(NINE, 3)
+        est = estimate_series(NINE, [3], Side.DOMAIN)[0]
         b = jarnik_bounds(9)
         assert b.lower < est.s_hat < b.upper
 
     def test_sum_at_root_within_tolerance(self):
-        est = covering_root_domain(K12, 4, tol=1e-10)
+        est = estimate_series(K12, [4], Side.DOMAIN, tol=1e-10)[0]
         assert abs(est.sum_at_root - 1.0) <= 1e-10
 
     def test_bracket_straddles(self):
-        est = covering_root_domain(K12, 3)
+        est = estimate_series(K12, [3], Side.DOMAIN)[0]
         lengths = [float(length) for length in exact_lengths(K12, 3)]
         lo, hi = est.bracket
         assert lo <= est.s_hat <= hi
@@ -98,36 +96,36 @@ class TestDomain:
             assert all(a > b for a, b in zip(totals, totals[1:]))
 
     def test_deterministic(self):
-        a = covering_root_domain(NINE, 3)
-        b = covering_root_domain(NINE, 3)
+        a = estimate_series(NINE, [3], Side.DOMAIN)[0]
+        b = estimate_series(NINE, [3], Side.DOMAIN)[0]
         assert a.s_hat == b.s_hat
         assert a.sum_at_root == b.sum_at_root
 
 
 class TestImage:
     def test_depth1_equals_moran(self):
-        est = covering_root_image(K12, 1)
+        est = estimate_series(K12, [1], Side.IMAGE)[0]
         assert abs(est.s_hat - float(moran_root(K12).s)) <= 1e-9
 
     def test_depth_invariance(self):
         tol = 1e-10
-        roots = [covering_root_image(K12, d, tol).s_hat for d in (1, 3, 6)]
+        roots = [estimate_series(K12, [d], Side.IMAGE, tol)[0].s_hat for d in (1, 3, 6)]
         for a in roots:
             for b in roots:
                 assert abs(a - b) <= 10 * tol
 
     def test_headline_set_depth3(self):
-        est = covering_root_image(NINE, 3)
+        est = estimate_series(NINE, [3], Side.IMAGE)[0]
         assert abs(est.s_hat - 0.9985778625536) <= 1e-8
 
     def test_count_and_side(self):
-        est = covering_root_image(K12, 5)
+        est = estimate_series(K12, [5], Side.IMAGE)[0]
         assert est.cylinder_count == 32
         assert est.side is Side.IMAGE
 
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
-            covering_root_image(K12, 0)
+            estimate_series(K12, [0], Side.IMAGE)
 
 
 class TestSeries:
@@ -191,14 +189,14 @@ class TestSeries:
         with pytest.raises(ValueError):
             estimate_series(K12, (0, 2), Side.DOMAIN)
         with pytest.raises(ValueError):
-            covering_root_domain(K12, 0)
+            estimate_series(K12, [0], Side.DOMAIN)
 
     def test_tolerance_range(self):
         """The Moran solver's range [2^-50, 1e-3] holds for covering sums too."""
         with pytest.raises(ValueError):
             estimate_series(K12, (2,), Side.DOMAIN, tol=1e-2)
         with pytest.raises(ValueError):
-            covering_root_domain(K12, 2, tol=2.0**-51)
+            estimate_series(K12, [2], Side.DOMAIN, tol=2.0**-51)
 
 
 def deepest_layer(K, depth):
@@ -269,9 +267,8 @@ class TestEngine:
     @pytest.mark.parametrize("side", list(Side))
     def test_series_equals_single_roots_bit_for_bit(self, side):
         K = DigitSet((1, 3, 5))
-        solver = covering_root_domain if side is Side.DOMAIN else covering_root_image
         for est in estimate_series(K, range(1, 6), side):
-            single = solver(K, est.depth)
+            (single,) = estimate_series(K, [est.depth], side)
             assert (est.side, est.depth, est.cylinder_count) == (
                 single.side, single.depth, single.cylinder_count
             )
@@ -280,8 +277,9 @@ class TestEngine:
             )
 
     def test_budget_scale(self):
-        assert 0.5 < covering_root_domain(K12, 20).s_hat < 0.55
-        assert abs(covering_root_image(NINE, 6).s_hat - float(moran_root(NINE).s)) <= 1e-8
+        assert 0.5 < estimate_series(K12, [20], Side.DOMAIN)[0].s_hat < 0.55
+        (image,) = estimate_series(NINE, [6], Side.IMAGE)
+        assert abs(image.s_hat - float(moran_root(NINE).s)) <= 1e-8
 
     def test_large_digit_image_returns_moran_root(self, capsys):
         argv = ["empirical", "--digits", "100,200", "--side", "image", "--depths", "6"]

@@ -31,4 +31,4 @@ def test_library_example_values():
     moran = values["float(moran_root(DigitSet(range(1, 10))).s)"]
     assert repr(moran).startswith("0.99857786255")
     assert abs(values["preservation_verdict(9).gap"] - 0.01313) < 5e-6
-    assert 0 < values["covering_root_domain(K, depth=8).s_hat"] < 1
+    assert 0 < values["estimate_series(K, [8], Side.DOMAIN)[0].s_hat"] < 1

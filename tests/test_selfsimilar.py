@@ -30,7 +30,6 @@ from minkdim import (
     tail_set_inf,
     tail_set_sup,
 )
-from minkdim import selfsimilar
 
 
 def closed_form_sup(k1: int, k2: int) -> Fraction:
@@ -205,9 +204,9 @@ def closed_form_hulls(K: DigitSet, depth: int) -> list[tuple]:
 
 class TestEnumeration:
     def test_counts(self):
-        assert len(list(image_hulls(DigitSet((1, 2)), 2))) == 4
-        assert len(list(image_hulls(DigitSet(tuple(range(1, 10))), 1))) == 9
-        assert len(list(image_hulls(DigitSet((1, 2)), 0))) == 1
+        assert len(image_hulls(DigitSet((1, 2)), 2)) == 4
+        assert len(image_hulls(DigitSet(tuple(range(1, 10))), 1)) == 9
+        assert len(image_hulls(DigitSet((1, 2)), 0)) == 1
 
     def test_depth3_diameters(self):
         K = DigitSet((1, 2))
@@ -230,7 +229,7 @@ class TestEnumeration:
     def test_cover_extremes_attained(self):
         K = DigitSet((2, 3))
         for depth in (1, 2, 3):
-            hulls = list(image_hulls(K, depth))
+            hulls = image_hulls(K, depth)
             assert min(lo for _, lo, _, _ in hulls) == image_inf(K)
             assert max(hi for _, _, hi, _ in hulls) == image_sup(K)
 
@@ -249,10 +248,11 @@ class TestEnumeration:
     def test_integer_build_matches_tail_hulls(self, digits):
         K = DigitSet(digits)
         for depth in range(7):
-            assert list(image_hulls(K, depth)) == closed_form_hulls(K, depth)
+            hulls = image_hulls(K, depth)
+            assert type(hulls) is list
+            assert hulls == closed_form_hulls(K, depth)
 
     def test_budget_and_validation(self):
-        # every error raises at call time, before the first hull is pulled
         with pytest.raises(BudgetExceededError):
             image_hulls(DigitSet((1, 2)), 10, budget=100)
         with pytest.raises(ValueError):
@@ -267,7 +267,7 @@ class TestImageHulls:
         for _ in range(12):
             K = random_digit_set(rng, max_digit=9, max_size=4)
             for depth in range(6):
-                hulls = list(image_hulls(K, depth))
+                hulls = image_hulls(K, depth)
                 assert len(hulls) == len(K) ** depth
                 assert hulls == closed_form_hulls(K, depth)
 
@@ -276,7 +276,7 @@ class TestImageHulls:
     def test_large_digits_at_odd_depths(self, digits, depth):
         """Odd depths take the (-b, -a) endpoint column; every endpoint is reduced."""
         K = DigitSet(digits)
-        hulls = list(image_hulls(K, depth))
+        hulls = image_hulls(K, depth)
         assert hulls == closed_form_hulls(K, depth)
         for _, lo, hi, _ in hulls:
             assert type(lo) is type(hi) is Fraction
@@ -285,20 +285,8 @@ class TestImageHulls:
 
     def test_depth_zero_is_whole_image(self):
         K = DigitSet((2, 5, 9))
-        assert list(image_hulls(K, 0)) == [((), image_inf(K), image_sup(K), image_diameter(K))]
+        assert image_hulls(K, 0) == [((), image_inf(K), image_sup(K), image_diameter(K))]
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             image_hulls(DigitSet((1, 2)), -1)
-
-    def test_no_exact_value_before_first_next(self, monkeypatch):
-        # the call checks only depth and budget: the digit-sum check of
-        # `construct` runs between the call and the first hull
-        def refuse(K):
-            raise AssertionError("an image extreme was built at call time")
-
-        monkeypatch.setattr(selfsimilar, "image_inf", refuse)
-        monkeypatch.setattr(selfsimilar, "image_sup", refuse)
-        hulls = image_hulls(DigitSet((1, 10**10)), 0)
-        with pytest.raises(AssertionError, match="call time"):
-            next(hulls)
