@@ -47,7 +47,9 @@ class CoveringEstimate:
     ``bracket`` is the solver's live bracket at return, certified to hold the
     root, but its far end is often 1.0: it is no precision measure;
     ``sum_at_root`` is.  On the image side ``tol`` bounds the depth-1 sum, and
-    ``sum_at_root`` is that sum to the n-th power.
+    ``sum_at_root`` is that sum to the n-th power.  ``wall_time_ms`` is the
+    time since the previous estimate; on the domain side it includes the
+    solves of the shallower depths that were not requested.
     """
 
     side: Side
@@ -73,15 +75,21 @@ def _log_lengths(K: DigitSet, depth: int) -> Iterator[np.ndarray]:
         yield np.negative(logs, out=logs)
 
 
-def _solve_covering(logs: np.ndarray, target: float) -> tuple[float, float, tuple[float, float]]:
+def _solve_covering(
+    logs: np.ndarray, target: float, start: float | None = None
+) -> tuple[float, float, tuple[float, float]]:
     """Root of g(s) = log(sum(exp(s * logs))) = 0, polished to |g| <= target.
 
     Takes the layer over: shifts it in place, once, by its maximum top, since
     max(s * logs) = s * top for every s >= 0.  Then g(s) = s * top +
     log(sum(exp(s * shifted))), and g'(s) = top + the weighted mean of the
-    shifted logs, which unlike the sum's slope cannot underflow.  Each s > 0
-    costs four array passes (multiply, exp, sum, one weighted sum), shared by
-    g and g' at the same s (every Newton step); g(0) = log N takes none.
+    shifted logs, which unlike the sum's slope cannot underflow.  Each
+    0 < s < 1 costs four array passes (multiply, exp, sum, one weighted sum),
+    shared by g and g' at the same s (every Newton step).  The bracket's ends
+    cost none: g(0) = log N, and g(1) <= 0 is known, so h returns that bound,
+    0, there.  At s = 1 the domain cylinders are disjoint subintervals of
+    [0, 1] and the image sum is sum 2^-k < 1.  Newton starts at ``start``
+    (the root one depth up, on the domain side), else at the midpoint.
     """
     top = float(logs.max())
     logs -= top
@@ -95,15 +103,27 @@ def _solve_covering(logs: np.ndarray, target: float) -> tuple[float, float, tupl
         weighted = float(np.einsum("i,i->", scratch, logs))
         return s * top + math.log(total), weighted / total + top
 
-    log_count = float(np.log(logs.size))  # g(0), as a pass would compute it
+    # g(0) as a pass would compute it, and g(1)'s bound
+    known = {0.0: float(np.log(logs.size)), 1.0: 0.0}
     s, res, _, bracket = bisect_newton(
-        lambda s: sums(s)[0] if s else log_count,
+        lambda s: known[s] if s in known else sums(s)[0],
         lambda s: sums(s)[1],
         0.0,
         1.0,
         residual_target=target,
+        start=start,
     )
     return s, math.exp(res), (float(bracket[0]), float(bracket[1]))
+
+
+def _domain_roots(K: DigitSet, depth: int, target: float) -> Iterator[tuple[int, int, tuple]]:
+    """(depth, cylinder count, root) at every depth 1..depth; each depth's
+    Newton starts at the root one depth up, depth 1's at the midpoint."""
+    start = None
+    for n, logs in enumerate(_log_lengths(K, depth), 1):
+        root = _solve_covering(logs, target, start)
+        start = root[0]
+        yield n, logs.size, root
 
 
 def estimate_series(
@@ -118,11 +138,19 @@ def estimate_series(
     Each depth's sum sits at S^depth for s = 0 and strictly below 1 at s = 1
     (the restricted cylinders omit part of every parent interval; the image
     sum there is (sum_k 2^-k)^depth), so its root is unique in (0, 1).
-    Domain layers are built once, up to the deepest depth; the image side
-    solves its depth-1 sum once.  ``wall_time_ms`` is the time since the
-    previous estimate.  Both sides check the budget at the deepest depth
-    first, so a long run cannot fail halfway.  ``tol`` must lie in the Moran
-    solver's range.
+    Domain layers are built once, up to the deepest depth, and every depth
+    from 1 up is solved, requested or not: each depth's Newton starts at the
+    root one depth up, so a root from depth 3 on costs three exp passes
+    (its start, one Newton point and the answer).  The start depends only
+    on K and the depth, so a depth's estimate is the same bits alone or in
+    any series.  Where two depths'
+    roots agree within ``tol`` the deeper root is the start itself, and
+    their successive difference reads 0.0.  The image side solves its
+    depth-1 sum once.  ``wall_time_ms`` is the time since the previous
+    estimate, so it includes the solves of shallower depths that were not
+    requested.  Both sides check the budget at the deepest depth first, so a
+    long run cannot fail halfway.  ``tol`` must lie in the Moran solver's
+    range.
     ToleranceError: a log left float64.
     """
     check_tolerance(tol)
@@ -141,10 +169,8 @@ def estimate_series(
                 root = _solve_covering(np.array(K.digits, float) * -math.log(2.0), target)
                 layers = ((n, len(K) ** n, (root[0], root[1] ** n, root[2])) for n in depth_list)
             else:
-                logs = enumerate(_log_lengths(K, depth_list[-1]), 1)
-                layers = (
-                    (n, x.size, _solve_covering(x, target)) for n, x in logs if n in depth_list
-                )
+                roots = _domain_roots(K, depth_list[-1], target)
+                layers = (row for row in roots if row[0] in depth_list)
             for depth, count, (s, total, bracket) in layers:
                 ms = (time.perf_counter() - t0) * 1e3
                 estimates.append(CoveringEstimate(side, depth, count, s, total, bracket, ms))

@@ -259,7 +259,9 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
     guarantee existence and uniqueness in (0, hi], where hi = min(1,
     ceil(log2 S)/k1) (rounded up): f(hi) <= S 2^(-k1 hi) <= 1.  f(0) = S is
     taken as known, with no walk over the digits, whose sum it would equal
-    exactly at s = 0 (most of the time of {1..10^6}'s root).  For huge k1
+    exactly at s = 0 (most of the time of {1..10^6}'s root), and so is
+    f(hi) <= 1: h returns that bound, 0, at hi, whose digit walk would only
+    confirm the bracket.  For huge k1
     the root lies near 1/k1, so the search starts in this bracket, not in
     [0, 1].  Newton starts at the float64 root (``_float_root``); it
     changes how many evaluations the root takes, not its bits.
@@ -270,8 +272,9 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
     with mp.workprec(PRECISION_BITS):
         hi = min(mpf(1), mp.fdiv((len(K) - 1).bit_length(), K.digits[0], rounding="u"))
         start = _float_root(K, hi)
+        known = {mpf(0): mpf(len(K) - 1), hi: mpf(0)}  # f(0) - 1 = S - 1; f(hi) - 1 <= 0
         s, res, iters, bracket = bisect_newton(
-            lambda s: sums(s)[0] - 1 if s else mpf(len(K) - 1),  # f(0) = S
+            lambda s: known[s] if s in known else sums(s)[0] - 1,
             lambda s: -mp.ln2 * sums(s)[1],
             mpf(0),
             hi,

@@ -320,6 +320,16 @@ class TestEmpiricalCommand:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[-1] == "successive differences: 0.0, 0.0"
 
+    def test_single_depth_prints_the_series_row(self, capsys):
+        # a lone depth also solves every shallower one, each from the root above
+        rows = []
+        for depths in ("20", "1..20"):
+            argv = ["empirical", "--digits", "1,2", "--depths", depths, "--format", "csv"]
+            assert main(argv) == EXIT_OK
+            row = capsys.readouterr().out.splitlines()[-1].split(",")
+            rows.append(row[:-1])  # all but wall_time_ms
+        assert rows[0] == rows[1] and rows[0][:2] == ["20", "1048576"]
+
     @pytest.mark.parametrize("digits, depths", [("1..9", "5000"), ("1,2", "20000")])
     def test_budget_at_huge_depth(self, capsys, digits, depths):
         # both counts have more digits than int-to-str conversion allows (4,300)

@@ -339,12 +339,14 @@ class TestSolverPasses:
         monkeypatch.setattr(np, "exp", exp)
         monkeypatch.setattr(empirical_dim, "bisect_newton", recording)
         root, *_ = empirical_dim._solve_covering(logs, math.log1p(1e-10))
-        # g(0) is free; every other point costs exactly one exp pass, g' none
-        assert evaluations[0] == 0.0 and 0.0 not in evaluations[1:]
-        assert len(exp_inputs) == len(evaluations) - 1 and all(exp_inputs)
+        # g(0) and g(1) are free; every other point costs exactly one exp pass, g' none
+        assert evaluations[:2] == [0.0, 1.0]
+        assert 0.0 not in evaluations[2:] and 1.0 not in evaluations[2:]
+        assert len(exp_inputs) == len(evaluations) - 2 and all(exp_inputs)
 
         (h, h_prime), = closures
         assert h(0.0) == pytest.approx(math.log(len(original)), rel=1e-15)
+        assert h(1.0) == 0.0  # the bound g(1) <= 0, with no pass
         for s in (root / 4, root / 2, 2 * root, 1.0):
             top = max(s * x for x in original)
             weights = [math.exp(s * x - top) for x in original]
@@ -352,8 +354,31 @@ class TestSolverPasses:
             g = top + math.log(total)
             g_prime = math.fsum(w * x for w, x in zip(weights, original)) / total
             assert type(h(s)) is float and type(h_prime(s)) is float
-            assert h(s) == pytest.approx(g, rel=1e-12)
+            if s == 1.0:
+                assert g < 0  # the bound h returns there holds
+            else:
+                assert h(s) == pytest.approx(g, rel=1e-12)
             assert h_prime(s) == pytest.approx(g_prime, rel=1e-12)
+
+    @pytest.mark.parametrize("digits, depth", [((1, 5), 15), (tuple(range(1, 10)), 5)])
+    def test_three_passes_per_depth_from_depth_three(self, monkeypatch, digits, depth):
+        # each depth's Newton starts at the root one depth up
+        passes, real_exp = [], np.exp
+        real_solve = empirical_dim._solve_covering
+
+        def exp(x, *args, **kwargs):
+            passes[-1] += 1
+            return real_exp(x, *args, **kwargs)
+
+        def solve(*args, **kwargs):
+            passes.append(0)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", exp)
+        monkeypatch.setattr(empirical_dim, "_solve_covering", solve)
+        series = estimate_series(DigitSet(digits), range(1, depth + 1), Side.DOMAIN)
+        assert [est.depth for est in series] == list(range(1, depth + 1))
+        assert len(passes) == depth and max(passes[2:]) <= 3
 
     @pytest.mark.parametrize("side", list(Side))
     @pytest.mark.parametrize("digits", [(1, 2), (1, 3, 5), (10**10, 2 * 10**10)])

@@ -104,7 +104,7 @@ class TestMoranRoot:
 
     @pytest.mark.parametrize("digits", [tuple(range(1, 10)), (10**10, 2 * 10**10)])
     def test_no_walk_at_zero(self, digits):
-        # f(0) = S is known: the lower end of the bracket costs no digit walk
+        # f(0) = S and f(hi) <= 1 are known: neither end of the bracket costs a digit walk
         K = DigitSet(digits)
         points = []
 
@@ -115,7 +115,7 @@ class TestMoranRoot:
         with patch.object(moran_solver, "_moran_sums", recording):
             root = moran_root(K)
         assert points and 0 not in points
-        assert len(points) == root.iterations - 1  # each evaluation but f(0) walks once
+        assert len(points) == root.iterations - 2  # each evaluation but f(0) and f(hi) walks once
         assert root == moran_root(K)
 
     def test_deterministic(self):
