@@ -19,13 +19,10 @@ from .cf_core import (
     alternate_form,
     canonicalize,
     cf_from_rational,
-    cf_value,
-    convergents,
     cylinder_interval,
 )
 from .minkowski_eval import (
     DyadicRational,
-    minkowski_enclosure,
     minkowski_finite,
     minkowski_periodic,
 )
@@ -39,7 +36,7 @@ from .selfsimilar import (
     tail_set_inf,
     tail_set_sup,
 )
-from .moran_solver import MoranRoot, bisect_newton, moran_function, moran_root
+from .moran_solver import MoranRoot, bisect_newton, moran_root
 from .dim_bounds import (
     BoundsInterval,
     Preservation,

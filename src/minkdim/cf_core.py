@@ -14,10 +14,9 @@ across threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceededError
 
@@ -31,12 +30,6 @@ def _checked_digits(digits: Sequence[int]) -> tuple[int, ...]:
         bad = next(d for d in out if d < 1)
         raise ValueError(f"partial quotients must be >= 1, got {bad}")
     return out
-
-
-def _checked_prefix(prefix: Sequence[int]) -> tuple[int, ...]:
-    if not (word := _checked_digits(prefix)):
-        raise ValueError("prefix must be nonempty")
-    return word
 
 
 def _lowest_terms(cls, n: int, d: int):
@@ -103,21 +96,6 @@ class ContinuedFraction:
         d = self.preperiod
         return not self.is_finite or d == (1,) or d[-1] >= 2
 
-    def digits(self, n: int) -> tuple[int, ...]:
-        """The first n digits, unrolling the period as far as needed."""
-        if n < 0:
-            raise ValueError("digit count must be nonnegative")
-        if self.is_finite:
-            if n > len(self.preperiod):
-                raise ValueError(
-                    f"requested {n} digits from a length-{len(self.preperiod)} expansion"
-                )
-            return self.preperiod[:n]
-        out = list(self.preperiod)
-        while len(out) < n:
-            out.extend(self.period)
-        return tuple(out[:n])
-
     def __str__(self) -> str:
         body = ", ".join(map(str, self.preperiod))
         if self.period:
@@ -167,15 +145,6 @@ class RationalInterval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def interior_disjoint(self, other: "RationalInterval") -> bool:
-        return self.hi <= other.lo or other.hi <= self.lo
-
 
 def cf_from_rational(p: int, q: int) -> ContinuedFraction:
     """Expand p/q in (0, 1] by the Euclidean algorithm.
@@ -196,14 +165,6 @@ def cf_from_rational(p: int, q: int) -> ContinuedFraction:
         digits.append(quot)
         a, b = b, rem
     return ContinuedFraction._unchecked(tuple(digits))
-
-
-def cf_value(cf: ContinuedFraction) -> Fraction:
-    """Exact value of a finite continued fraction."""
-    if not cf.is_finite:
-        raise ValueError("value of a periodic continued fraction is irrational")
-    _, _, p, q = deque(_convergent_states(cf.preperiod), maxlen=1).pop()
-    return Fraction(p, q)
 
 
 def canonicalize(cf: ContinuedFraction) -> ContinuedFraction:
@@ -237,33 +198,20 @@ def alternate_form(cf: ContinuedFraction) -> ContinuedFraction:
     return ContinuedFraction(d[:-1] + (d[-1] - 1, 1))
 
 
-def convergents(cf: ContinuedFraction, n: int) -> list[tuple[int, int]]:
-    """The first n convergents (p_i, q_i).
-
-    Standard recurrence p_i = a_i p_{i-1} + p_{i-2} (q likewise) seeded with
-    p_{-1}=1, q_{-1}=0, p_0=0, q_0=1; consecutive convergents are coprime, so
-    every pair is already in lowest terms.
-    """
-    if n < 1:
-        raise ValueError("need at least one convergent")
-    return [(p, q) for _, _, p, q in _convergent_states(cf.digits(n))]
-
-
-def _convergent_states(word: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
-    """(p_{i-1}, q_{i-1}, p_i, q_i) after each digit of ``word``."""
-    pm1, qm1, p, q = 1, 0, 0, 1
-    for a in word:
-        pm1, qm1, p, q = p, q, a * p + pm1, a * q + qm1
-        yield pm1, qm1, p, q
-
-
 def cylinder_interval(prefix: Sequence[int]) -> RationalInterval:
     """The interval of all x in (0, 1] whose expansion starts with ``prefix``.
 
-    Endpoints are p_n/q_n and (p_n + p_{n-1})/(q_n + q_{n-1}); the length is
-    exactly 1/(q_n (q_n + q_{n-1})).
+    Endpoints are p_n/q_n and (p_n + p_{n-1})/(q_n + q_{n-1}), from the
+    convergent recurrence p_i = a_i p_{i-1} + p_{i-2} (q likewise) seeded
+    with p_{-1}=1, q_{-1}=0, p_0=0, q_0=1; the length is exactly
+    1/(q_n (q_n + q_{n-1})).
     """
-    pm1, qm1, p, q = deque(_convergent_states(_checked_prefix(prefix)), maxlen=1).pop()
+    word = _checked_digits(prefix)
+    if not word:
+        raise ValueError("prefix must be nonempty")
+    pm1, qm1, p, q = 1, 0, 0, 1
+    for a in word:
+        pm1, qm1, p, q = p, q, a * p + pm1, a * q + qm1
     a = Fraction(p, q)
     b = Fraction(p + pm1, q + qm1)
     return RationalInterval(min(a, b), max(a, b))

@@ -86,10 +86,11 @@ def _solve_covering(
     shifted logs, which unlike the sum's slope cannot underflow.  Each
     0 < s < 1 costs four array passes (multiply, exp, sum, one weighted sum),
     shared by g and g' at the same s (every Newton step).  The bracket's ends
-    cost none: g(0) = log N, and g(1) <= 0 is known, so h returns that bound,
-    0, there.  At s = 1 the domain cylinders are disjoint subintervals of
-    [0, 1] and the image sum is sum 2^-k < 1.  Newton starts at ``start``
-    (the root one depth up, on the domain side), else at the midpoint.
+    cost none: ``bisect_newton`` never evaluates g there, and their signs are
+    known.  g(0) = log N > 0, and g(1) < 0: at s = 1 the domain cylinders
+    are disjoint subintervals of [0, 1], and the image sum is sum 2^-k < 1.
+    Newton starts at ``start`` (the root one depth up, on the domain side),
+    else at the midpoint.
     """
     top = float(logs.max())
     logs -= top
@@ -103,10 +104,8 @@ def _solve_covering(
         weighted = float(np.einsum("i,i->", scratch, logs))
         return s * top + math.log(total), weighted / total + top
 
-    # g(0) as a pass would compute it, and g(1)'s bound
-    known = {0.0: float(np.log(logs.size)), 1.0: 0.0}
     s, res, _, bracket = bisect_newton(
-        lambda s: known[s] if s in known else sums(s)[0],
+        lambda s: sums(s)[0],
         lambda s: sums(s)[1],
         0.0,
         1.0,

@@ -10,10 +10,11 @@ integer, a word's mantissa M = 2^(a1+...+an) ?([0; a1, ..., an]), built by
 Horner's rule from the left (M <- M 2^a + 2 (-1)^(j-1)).  A finite word gives
 the `DyadicRational` M / 2^(digit sum) (a `fractions.Fraction` that checks
 its denominator is a power of two), an eventually periodic expansion one
-`Fraction` of integers in the mantissas of its preperiod and period, and a
-digit prefix a certified `cf_core.RationalInterval` around its mantissa from
-the alternating-series bracket.  Floating point never enters; the sup/inf
-identities downstream hold bit-exactly.
+`Fraction` of integers in the mantissas of its preperiod and period, and
+`_tail_hull` the exact hull of a word's values when the tails after it
+range over an interval, from which `selfsimilar` builds image cylinders.
+Floating point never enters; the sup/inf identities downstream hold
+bit-exactly.
 
 Exact values are built in lowest terms without a gcd over the whole
 numerator: M = 2 * odd for every nonempty word, so a finite value is
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .cf_core import ContinuedFraction, RationalInterval, _checked_prefix, _lowest_terms
+from .cf_core import ContinuedFraction, RationalInterval, _lowest_terms
 
 
 class DyadicRational(Fraction):
@@ -79,6 +80,9 @@ def _tail_hull(word: tuple[int, ...], lo: Fraction, hi: Fraction) -> RationalInt
     The hull of the values whose expansion starts with ``word`` when the
     series tails after it, unsigned and unscaled, range over [lo, hi]:
     (M + (-1)^n [lo, hi]) / 2^(sum of word) with M the word's mantissa.
+    The series alternates with strictly decreasing terms, so tails in
+    [0, 1] give an interval holding ?(x) for every x that starts with
+    ``word``.
     """
     m, den = _mantissa(word), 1 << sum(word)
     if len(word) % 2:
@@ -97,17 +101,6 @@ def minkowski_finite(cf: ContinuedFraction) -> DyadicRational:
         raise ValueError("finite continued fraction required")
     word = cf.preperiod
     return _lowest_terms(DyadicRational, _mantissa(word) >> 1, 1 << (sum(word) - 1))
-
-
-def minkowski_enclosure(prefix: Sequence[int]) -> RationalInterval:
-    """Certified interval containing ?(x) for every x starting with ``prefix``.
-
-    The series alternates with strictly decreasing terms, so every
-    continuation lands between the length-n partial sum S_n and
-    S_n + (-1)^n 2^-(a1+...+an): the tail hull with tails in [0, 1].
-    Length is exactly 2^-(a1+...+an) > 0.
-    """
-    return _tail_hull(_checked_prefix(prefix), Fraction(0), Fraction(1))
 
 
 def minkowski_periodic(cf: ContinuedFraction) -> Fraction:

@@ -45,7 +45,7 @@ PRECISION_BITS = 128  # working precision for all solver arithmetic
 MIN_TOLERANCE = 2.0**-50  # tol must lie in [MIN_TOLERANCE, MAX_TOLERANCE]
 MAX_TOLERANCE = 1e-3
 DEFAULT_TOLERANCE = 1e-12
-MAX_STEPS = 85  # evaluations allowed after the bracket's two endpoints
+MAX_STEPS = 85  # evaluations of h allowed per bisect_newton call
 _RESIDUAL_BITS = 100  # Newton polishes |f(s) - 1| below 2^-100
 _FLOAT_CUT = 1100  # float64 terms below 2^-1100 are 0: not computed
 _LN2 = math.log(2)
@@ -74,13 +74,6 @@ class MoranRoot:
     residual: Any
     iterations: int
     bracket: tuple[Any, Any]
-
-
-def moran_function(K: DigitSet, s) -> mpf:
-    """Left-hand side sum(2^(-k s)) over K; strictly decreasing in s >= 0."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    return _moran_sums(K, s, PRECISION_BITS)[0]
 
 
 def _moran_sums(K: DigitSet, s, prec: int) -> tuple[mpf, mpf]:
@@ -146,12 +139,13 @@ def _moran_sums(K: DigitSet, s, prec: int) -> tuple[mpf, mpf]:
 
 
 def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target, start=None):
-    """Root of a decreasing h on the closed bracket [lo, hi]: h(lo) >= 0 >= h(hi).
+    """Root of a decreasing h on the closed bracket [lo, hi].
 
-    Newton, safeguarded by bisection.  One loop starts at ``start`` when it
-    lies strictly inside (lo, hi), else at the bracket's midpoint, evaluates
-    h, stops as soon as |h| <= residual_target, narrows the bracket to the
-    side the sign names and steps to the Newton point
+    The caller owes the bracket, h(lo) >= 0 >= h(hi): h is never evaluated
+    at either end.  Newton, safeguarded by bisection.  One loop starts at
+    ``start`` when it lies strictly inside (lo, hi), else at the bracket's
+    midpoint, evaluates h, stops as soon as |h| <= residual_target, narrows
+    the bracket to the side the sign names and steps to the Newton point
     s - h(s)/h'(s) when it lies strictly inside the live bracket, else to
     the midpoint (so a zero slope or a non-finite Newton point bisects).
     Works unchanged over floats and mpmath floats.  An endpoint value that
@@ -168,19 +162,12 @@ def bisect_newton(h: Callable, h_prime: Callable, lo, hi, *, residual_target, st
     Returns (root, h(root), evaluations, bracket), the residual signed; the
     bracket is the live one at return, so it certifies the root but its far
     end may still be an end of [lo, hi]: it is no precision measure, the
-    residual is.  Raises ToleranceError if h(lo) >= 0 >= h(hi) fails at
-    working precision or if the target is unreachable within MAX_STEPS
-    evaluations after the two endpoints.
+    residual is.  Raises ToleranceError if the target is unreachable within
+    MAX_STEPS evaluations, as on a bracket that holds no root: the steps
+    then run to one of its ends.
     """
-    h_lo, h_hi = h(lo), h(hi)
-    if not (h_lo >= 0 >= h_hi):
-        prec = mp.prec if isinstance(h_lo, mpf) else 53  # mpf, or float64
-        raise ToleranceError(
-            f"h({lo}) = {h_lo} and h({hi}) = {h_hi} at {prec}-bit precision: "
-            f"[{lo}, {hi}] does not bracket the root"
-        )
     s = start if start is not None and lo < start < hi else (lo + hi) / 2
-    for iterations in range(3, MAX_STEPS + 3):
+    for iterations in range(1, MAX_STEPS + 1):
         res = h(s)
         if abs(res) <= residual_target:
             return s, res, iterations, (lo, hi)
@@ -238,6 +225,8 @@ def _float_root(K: DigitSet, hi) -> float | None:
         g_over_s, slope = parts(s)
         return -(_LN2 * slope + g_over_s) / s
 
+    if not psi(hi) <= 0:  # psi(0) = +inf; rounding, or a NaN, breaks the bracket at hi
+        return None
     try:
         s, res, _, _ = bisect_newton(psi, psi_prime, 0.0, hi, residual_target=2.0**-44 * k1 * _LN2)
     except ToleranceError:
@@ -257,13 +246,11 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
     answer too small for the absolute stop, such as {1, 10^400}'s, it leaves
     it.  Monotonicity plus the endpoint values f(0) = S > 1 >= f(hi)
     guarantee existence and uniqueness in (0, hi], where hi = min(1,
-    ceil(log2 S)/k1) (rounded up): f(hi) <= S 2^(-k1 hi) <= 1.  f(0) = S is
-    taken as known, with no walk over the digits, whose sum it would equal
-    exactly at s = 0 (most of the time of {1..10^6}'s root), and so is
-    f(hi) <= 1: h returns that bound, 0, at hi, whose digit walk would only
-    confirm the bracket.  For huge k1
-    the root lies near 1/k1, so the search starts in this bracket, not in
-    [0, 1].  Newton starts at the float64 root (``_float_root``); it
+    ceil(log2 S)/k1) (rounded up): f(hi) <= S 2^(-k1 hi) <= 1.  Both end
+    values hold by construction, so neither end is evaluated: a walk over
+    the digits at s = 0 would be most of the time of {1..10^6}'s root.  For
+    huge k1 the root lies near 1/k1, so the search starts in this bracket,
+    not in [0, 1].  Newton starts at the float64 root (``_float_root``); it
     changes how many evaluations the root takes, not its bits.
     """
     check_tolerance(tol)
@@ -272,9 +259,8 @@ def moran_root(K: DigitSet, tol: float = DEFAULT_TOLERANCE) -> MoranRoot:
     with mp.workprec(PRECISION_BITS):
         hi = min(mpf(1), mp.fdiv((len(K) - 1).bit_length(), K.digits[0], rounding="u"))
         start = _float_root(K, hi)
-        known = {mpf(0): mpf(len(K) - 1), hi: mpf(0)}  # f(0) - 1 = S - 1; f(hi) - 1 <= 0
         s, res, iters, bracket = bisect_newton(
-            lambda s: known[s] if s in known else sums(s)[0] - 1,
+            lambda s: sums(s)[0] - 1,
             lambda s: -mp.ln2 * sums(s)[1],
             mpf(0),
             hi,

@@ -1,8 +1,8 @@
 """Exact continued-fraction arithmetic.
 
 Oracles used here are written independently of the library code paths:
-digit expansion by repeated reciprocal-floor on Fractions, evaluation by
-Horner folding, and the convergent recurrence run by hand in the tests.
+digit expansion by repeated reciprocal-floor on Fractions, and values of
+finite words by the convergent recurrence run by hand in the tests.
 """
 
 import random
@@ -20,8 +20,6 @@ from minkdim import (
     alternate_form,
     canonicalize,
     cf_from_rational,
-    cf_value,
-    convergents,
     cylinder_interval,
 )
 from minkdim.cf_core import _lowest_terms
@@ -45,6 +43,12 @@ def oracle_convergent(word) -> tuple[int, int, int, int]:
     for a in word:
         pm1, qm1, p, q = p, q, a * p + pm1, a * q + qm1
     return pm1, qm1, p, q
+
+
+def oracle_value(cf: ContinuedFraction) -> Fraction:
+    """p_n/q_n, the value of a finite word, by the textbook recurrence."""
+    _, _, p, q = oracle_convergent(cf.preperiod)
+    return Fraction(p, q)
 
 
 class TestLowestTerms:
@@ -111,17 +115,7 @@ class TestTypes:
     def test_empty_preperiod_needs_period(self):
         cf = ContinuedFraction((), (3,))
         assert not cf.is_finite
-        assert cf.digits(4) == (3, 3, 3, 3)
-
-    def test_digits_unroll_and_limits(self):
-        cf = ContinuedFraction((5,), (1, 2))
-        assert cf.digits(6) == (5, 1, 2, 1, 2, 1)
-        finite = ContinuedFraction((2, 3))
-        assert finite.digits(1) == (2,)
-        with pytest.raises(ValueError):
-            finite.digits(3)
-        with pytest.raises(ValueError):
-            finite.digits(-1)
+        assert (cf.preperiod, cf.period) == ((), (3,))
 
     def test_str_forms(self):
         assert str(ContinuedFraction((2, 3))) == "[0; 2, 3]"
@@ -144,9 +138,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             RationalInterval(Fraction(1, 2), Fraction(1, 2))
         iv = RationalInterval(Fraction(1, 3), Fraction(1, 2))
-        assert iv.length == Fraction(1, 6)
-        assert iv.contains(Fraction(2, 5))
-        assert not iv.contains(Fraction(3, 5))
+        assert (iv.lo, iv.hi, iv.length) == (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))
 
 
 class TestFromRational:
@@ -177,25 +169,22 @@ class TestFromRational:
 
 class TestValueAndRoundTrip:
     def test_examples(self):
-        assert cf_value(ContinuedFraction((2,))) == Fraction(1, 2)
-        assert cf_value(ContinuedFraction((1, 2))) == Fraction(2, 3)
-        assert cf_value(ContinuedFraction((2, 3))) == Fraction(3, 7)
+        # a finite word's value is the p_n/q_n end of its cylinder
+        for word, (p, q) in [((2,), (1, 2)), ((1, 2), (2, 3)), ((2, 3), (3, 7))]:
+            iv = cylinder_interval(word)
+            assert oracle_value(ContinuedFraction(word)) == Fraction(p, q) in (iv.lo, iv.hi)
 
     def test_round_trip_exhaustive_small(self):
         for q in range(1, 121):
             for p in range(1, q + 1):
-                assert cf_value(cf_from_rational(p, q)) == Fraction(p, q)
+                assert oracle_value(cf_from_rational(p, q)) == Fraction(p, q)
 
     def test_round_trip_random_large(self):
         rng = random.Random(20110409)
         for _ in range(500):
             q = rng.randint(2, 10**4)
             p = rng.randint(1, q)
-            assert cf_value(cf_from_rational(p, q)) == Fraction(p, q)
-
-    def test_periodic_has_no_finite_value(self):
-        with pytest.raises(ValueError):
-            cf_value(ContinuedFraction((), (1,)))
+            assert oracle_value(cf_from_rational(p, q)) == Fraction(p, q)
 
 
 class TestCanonicalize:
@@ -216,7 +205,7 @@ class TestCanonicalize:
         for _ in range(200):
             word = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 6)))
             cf = ContinuedFraction(word)
-            assert cf_value(canonicalize(cf)) == cf_value(cf)
+            assert oracle_value(canonicalize(cf)) == oracle_value(cf)
             assert canonicalize(cf).is_canonical
 
     def test_alternate_form_round_trip(self):
@@ -225,7 +214,7 @@ class TestCanonicalize:
                 cf = cf_from_rational(p, q)
                 alt = alternate_form(cf)
                 assert alt.preperiod != cf.preperiod
-                assert cf_value(alt) == cf_value(cf)
+                assert oracle_value(alt) == oracle_value(cf)
                 assert canonicalize(alt) == cf
 
     def test_one_has_single_expansion(self):
@@ -234,36 +223,32 @@ class TestCanonicalize:
 
 
 class TestConvergents:
+    """p_n/q_n, the n-th convergent, is an end of the depth-n cylinder."""
+
     def test_examples(self):
-        assert convergents(ContinuedFraction((2, 3)), 2) == [(1, 2), (3, 7)]
-        assert convergents(ContinuedFraction((1,)), 1) == [(1, 1)]
-        golden = ContinuedFraction((), (1,))
-        assert convergents(golden, 4) == [(1, 1), (1, 2), (2, 3), (3, 5)]
+        for word, pairs in [
+            ((2, 3), [(1, 2), (3, 7)]),
+            ((1,), [(1, 1)]),
+            ((1, 1, 1, 1), [(1, 1), (1, 2), (2, 3), (3, 5)]),  # the golden ratio's
+        ]:
+            for n, (p, q) in enumerate(pairs, 1):
+                iv = cylinder_interval(word[:n])
+                assert Fraction(p, q) in (iv.lo, iv.hi)
 
     def test_denominators_increase_and_reduced(self):
-        import math
-
-        cf = ContinuedFraction((3,), (1, 5, 2))
-        pairs = convergents(cf, 12)
-        for (p0, q0), (p1, q1) in zip(pairs, pairs[1:]):
-            assert q1 > q0
-        for p, q in pairs:
-            assert math.gcd(p, q) == 1
-
-    def test_length_limit(self):
-        with pytest.raises(ValueError):
-            convergents(ContinuedFraction((2, 3)), 3)
-        with pytest.raises(ValueError):
-            convergents(ContinuedFraction((2, 3)), 0)
+        # length 1/(q_n (q_n + q_{n-1})): numerator 1 as p_n q_{n-1} - p_{n-1} q_n = +-1
+        word = (3,) + (1, 5, 2) * 4
+        lengths = [cylinder_interval(word[:n]).length for n in range(1, 13)]
+        assert all(a > b for a, b in zip(lengths, lengths[1:]))
+        assert all(length.numerator == 1 for length in lengths)
 
     def test_last_convergent_is_value(self):
         rng = random.Random(11)
         for _ in range(100):
             q = rng.randint(2, 500)
             p = rng.randint(1, q)
-            cf = cf_from_rational(p, q)
-            pn, qn = convergents(cf, len(cf.preperiod))[-1]
-            assert Fraction(pn, qn) == Fraction(p, q)
+            iv = cylinder_interval(cf_from_rational(p, q).preperiod)
+            assert Fraction(p, q) in (iv.lo, iv.hi)
 
 
 class TestCylinders:
@@ -295,7 +280,8 @@ class TestCylinders:
         for _ in range(100):
             word = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
             ext = word + tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
-            assert cylinder_interval(word).contains(cf_value(ContinuedFraction(ext)))
+            iv = cylinder_interval(word)
+            assert iv.lo <= oracle_value(ContinuedFraction(ext)) <= iv.hi
 
     def test_nesting(self):
         rng = random.Random(13)
@@ -303,7 +289,7 @@ class TestCylinders:
             word = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 6)))
             parent = cylinder_interval(word)
             child = cylinder_interval(word + (rng.randint(1, 9),))
-            assert parent.contains_interval(child)
+            assert parent.lo <= child.lo and child.hi <= parent.hi
 
 
 def depth_cylinders(K: DigitSet, depth: int) -> list:
@@ -324,20 +310,21 @@ class TestEnumeration:
         assert words == sorted(words)
         for word, interval in items:
             raised = word[:-1] + (word[-1] + 1,)
-            ends = {cf_value(ContinuedFraction(word)), cf_value(ContinuedFraction(raised))}
+            ends = {oracle_value(ContinuedFraction(word)), oracle_value(ContinuedFraction(raised))}
             assert {interval.lo, interval.hi} == ends
 
     def test_sibling_interiors_disjoint(self):
         intervals = [iv for _, iv in depth_cylinders(DigitSet((1, 2, 3)), 3)]
         for i, a in enumerate(intervals):
             for b in intervals[i + 1 :]:
-                assert a.interior_disjoint(b)
+                assert a.hi <= b.lo or b.hi <= a.lo
 
     def test_nested_in_parent(self):
         K = DigitSet((1, 2, 5))
         parents = dict(depth_cylinders(K, 2))
         for word, child in depth_cylinders(K, 3):
-            assert parents[word[:2]].contains_interval(child)
+            parent = parents[word[:2]]
+            assert parent.lo <= child.lo and child.hi <= parent.hi
 
     def test_depth2_total_length(self):
         # four exact lengths: 1/6 + 1/12 + 1/15 + 1/35 = 29/84

@@ -158,7 +158,7 @@ class TestSeries:
         "K, depths, side", [(NINE, range(1, 6), Side.DOMAIN), (K12, range(1, 14), Side.IMAGE)]
     )
     def test_newton_from_the_first_step(self, monkeypatch, K, depths, side):
-        # counts evaluations of g, not time: at most 10 per root
+        # counts evaluations of g, not time: at most 8 per root
         counts = []
 
         def counting(h, h_prime, lo, hi, **kwargs):
@@ -173,7 +173,7 @@ class TestSeries:
         monkeypatch.setattr(empirical_dim, "bisect_newton", counting)
         estimate_series(K, depths, side)
         roots = 1 if side is Side.IMAGE else len(depths)  # one depth-1 root serves the image
-        assert len(counts) == roots and max(counts) <= 10
+        assert len(counts) == roots and max(counts) <= 8
 
     def test_budget_checked_upfront(self):
         with pytest.raises(BudgetExceededError):
@@ -339,14 +339,12 @@ class TestSolverPasses:
         monkeypatch.setattr(np, "exp", exp)
         monkeypatch.setattr(empirical_dim, "bisect_newton", recording)
         root, *_ = empirical_dim._solve_covering(logs, math.log1p(1e-10))
-        # g(0) and g(1) are free; every other point costs exactly one exp pass, g' none
-        assert evaluations[:2] == [0.0, 1.0]
-        assert 0.0 not in evaluations[2:] and 1.0 not in evaluations[2:]
-        assert len(exp_inputs) == len(evaluations) - 2 and all(exp_inputs)
+        # g is never evaluated at the bracket's ends; every point costs one exp pass, g' none
+        assert evaluations and 0.0 not in evaluations and 1.0 not in evaluations
+        assert len(exp_inputs) == len(evaluations) and all(exp_inputs)
 
         (h, h_prime), = closures
         assert h(0.0) == pytest.approx(math.log(len(original)), rel=1e-15)
-        assert h(1.0) == 0.0  # the bound g(1) <= 0, with no pass
         for s in (root / 4, root / 2, 2 * root, 1.0):
             top = max(s * x for x in original)
             weights = [math.exp(s * x - top) for x in original]
@@ -354,11 +352,9 @@ class TestSolverPasses:
             g = top + math.log(total)
             g_prime = math.fsum(w * x for w, x in zip(weights, original)) / total
             assert type(h(s)) is float and type(h_prime(s)) is float
-            if s == 1.0:
-                assert g < 0  # the bound h returns there holds
-            else:
-                assert h(s) == pytest.approx(g, rel=1e-12)
+            assert h(s) == pytest.approx(g, rel=1e-12)
             assert h_prime(s) == pytest.approx(g_prime, rel=1e-12)
+        assert h(1.0) < 0  # the bracket's sign at s = 1, which the solve never checks
 
     @pytest.mark.parametrize("digits, depth", [((1, 5), 15), (tuple(range(1, 10)), 5)])
     def test_three_passes_per_depth_from_depth_three(self, monkeypatch, digits, depth):
