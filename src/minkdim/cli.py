@@ -119,15 +119,14 @@ def parse_cf(text: str) -> ContinuedFraction:
         raise ValueError(f"continued fraction must start with '0;', got {text!r}")
     body = s[2:]
     if body.endswith("..."):  # the listed digits are the period: '(digits)'
-        body = "(" + body[:-3].rstrip(",") + ")"
+        body = "(" + body[:-3].removesuffix(",") + ")"
     try:
         if "(" in body:
             head, _, rest = body.partition("(")
             if not rest.endswith(")"):
                 raise ValueError
             period = tuple(int(t) for t in rest[:-1].split(","))
-            head = head.rstrip(",")
-            preperiod = tuple(int(t) for t in head.split(",")) if head else ()
+            preperiod = tuple(int(t) for t in head.removesuffix(",").split(",")) if head else ()
             return ContinuedFraction(preperiod, period)
         return ContinuedFraction(tuple(int(t) for t in body.split(",")))
     except ValueError:
@@ -382,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, ToleranceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_USAGE)  # ValueError: usage error
-    if args.out:
+    if args.out is not None:  # an empty path is one that cannot be written
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(payload)

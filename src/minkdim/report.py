@@ -12,23 +12,24 @@ its fields, for every row at once.  A field names a row key and may carry a
 spec; it looks nothing up.  ``report_json`` writes {"exact", "decimal"} pairs
 in the layout of ``json.dumps(indent=2)``, without its pure-Python encoder.
 
-Both write a column at a time through one ``_column``: a column of one scalar
-type (str, int or float) is written straight through, and any other column
-calls the format's cells function once per distinct object (a diameter shared
-by many rows is rendered once).  The cells function, ``_field_cells`` or
-``_json_cells``, is the one place that decides how each kind of value is
-written; a column of mixed types goes through it one value at a time, and a
-lone value is a column of one.  Scalars match by exact type (``int.__repr__``
-of True is "1"); every other kind matches subclasses too, so a
-``DyadicRational`` is written as the Fraction it is.
+Both write a column at a time through one ``_column``.  A column holds
+values of one kind, and a lone value is a column of one.  The kinds that
+reports hold are str, int and float (matched by exact type), Fraction and its
+subclass ``DyadicRational`` (written as the Fraction it is), Enum (``Side``,
+``Preservation``), lists and tuples of one kind, and non-empty dicts that
+share one key order (a lone dict, or a table's rows).  A column of str, int
+or float is written straight through; any other column calls the format's
+cells function once per distinct object (a diameter shared by many rows is
+rendered once).  The cells function, ``_field_cells`` or ``_json_cells``, is
+the one place that decides how each kind of value is written; JSON raises
+TypeError on any other kind.
 
 A column of words (lists or tuples: a text field joined by its spec or braced
 as a set, or JSON's all-int lists) is written by one %-format per distinct
 word length, ``head + sep.join(["%s"] * n) + tail``, applied to each
-``tuple(word)``, with any "%" in head, separator or tail escaped.  ``%s`` is
-``str()``, so no item is type-checked or looked up by value (a lookup would
-merge True into 1); JSON's brackets and indent are in the format, and its
-empty word is "[]".
+``tuple(word)``; no template or JSON layout holds a "%".  ``%s`` is
+``str()``, so no item is type-checked; JSON's brackets and indent are in the
+format, and its empty word is "[]".
 """
 
 from __future__ import annotations
@@ -80,33 +81,26 @@ def _literal(text: str) -> str:
 
 @functools.cache
 def _parsed(template: str) -> tuple[str, tuple[tuple[str, str], ...]]:
-    """A skeleton with "{}" per field, and each field's (key, spec).  A field
-    names a row key, an identifier: lookups ("[0]", ".name"), conversions,
-    nested and positional fields raise, as does a malformed template; each
-    error names the template."""
+    """A skeleton with "{}" per field, and each field's (key, spec).  The
+    templates are the CLI's own constants: each field names a row key, with
+    no lookup, conversion or nested spec, and none is checked here."""
     skeleton, fields = [], []
-    try:
-        for literal, name, spec, conversion in string.Formatter().parse(template):
-            skeleton.append(_literal(literal))
-            if name is None:
-                continue
-            if conversion is not None or "{" in spec or not name.isidentifier():
-                raise ValueError(f"unsupported field {{{name}}}")
+    for literal, name, spec, _ in string.Formatter().parse(template):
+        skeleton.append(_literal(literal))
+        if name is not None:
             skeleton.append("{}")
             fields.append((name, spec))
-    except ValueError as exc:
-        raise ValueError(f"{exc} in template {template!r}") from None
     return "".join(skeleton), tuple(fields)
 
 
 def _column(values: Sequence, cells: Callable[..., Iterable[str]], arg: str) -> list[str]:
-    """``list(cells(values, kind, arg))``, ``kind`` the type of every value or
-    None.  Scalars of one type (str, int, float) are quicker to write than to
-    tell apart; any other column is written once per distinct object, in
-    first-seen order, told apart by ``id``, which is sound because ``values``
-    keeps every one of them alive."""
-    types = {*map(type, values)}
-    kind = types.pop() if len(types) == 1 else None
+    """``list(cells(values, kind, arg))``, ``kind`` the type of the first value:
+    a column holds one kind, and an empty column writes nothing.  Scalars
+    (str, int, float) are quicker to write than to tell apart; any other
+    column is written once per distinct object, in first-seen order, told
+    apart by ``id``, which is sound because ``values`` keeps every one of
+    them alive."""
+    kind = type(values[0]) if values else str
     if kind in (str, int, float):
         return list(cells(values, kind, arg))
     ids = list(map(id, values))
@@ -117,11 +111,9 @@ def _column(values: Sequence, cells: Callable[..., Iterable[str]], arg: str) -> 
     return list(map(dict(zip(distinct, strs)).__getitem__, ids))
 
 
-def _field_cells(values: Sequence, kind: type | None, spec: str) -> Iterable[str]:
-    """Each value as a ``format_rows`` field, at C speed where ``kind``
-    allows; a column of mixed types (``kind`` None) one value at a time."""
-    if kind is None:
-        return [cell for value in values for cell in _field_cells([value], type(value), spec)]
+def _field_cells(values: Sequence, kind: type, spec: str) -> Iterable[str]:
+    """Each value, all of kind ``kind``, as a ``format_rows`` field: a
+    Fraction or a word by the contract's rules, anything else by ``format``."""
     if kind not in (str, int, float):  # the bulk of a template skips the subclass checks
         if issubclass(kind, Fraction):
             return map(decimal_str if spec == "decimal" else fraction_str, values)
@@ -135,10 +127,10 @@ def _field_cells(values: Sequence, kind: type | None, spec: str) -> Iterable[str
 def _words(
     words: Sequence, head: str, sep: str, tail: str, empty: str | None = None
 ) -> Iterable[str]:
-    """``head + sep.join(map(str, word)) + tail`` for each word (``empty``, a
-    %-format, for the empty word if given), by one %-format per distinct word
-    length: ``%s`` is ``str()``, so the items need no type check."""
-    head, sep, tail = (text.replace("%", "%%") for text in (head, sep, tail))
+    """``head + sep.join(map(str, word)) + tail`` for each word (``empty`` for
+    the empty word if given), by one %-format per distinct word length:
+    ``%s`` is ``str()``, so the items need no type check.  No "%" is escaped:
+    head, separator and tail come from the templates and JSON's layout."""
     lengths = [*map(len, words)]
     formats = {n: head + sep.join(["%s"] * n) + tail for n in {*lengths}}
     if empty is not None and 0 in formats:
@@ -165,21 +157,15 @@ _JSON_SCALARS = {  # the bulk of a report, at C speed
     str: encode_basestring_ascii,
     int: int.__repr__,
     float: lambda x: float.__repr__(x) if isfinite(x) else json.dumps(x),
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
 }
 
 
-def _json_cells(values: Sequence, kind: type | None, pad: str) -> Iterable[str]:
-    """Each value as ``json.dumps(indent=2)`` text, ``pad`` deep, at C speed
-    where ``kind`` allows; a column of mixed types (``kind`` None) one value
-    at a time.  Dicts with one key order are a table: one row skeleton from
-    the keys, filled a column at a time; dicts in several key orders go one
-    at a time, and an empty dict is "{}"."""
+def _json_cells(values: Sequence, kind: type, pad: str) -> Iterable[str]:
+    """Each value, all of kind ``kind``, as ``json.dumps(indent=2)`` text,
+    ``pad`` deep.  Dicts are a table: one row skeleton from the key order they
+    share (the unpacking raises if they do not), filled a column at a time."""
     if (encode := _JSON_SCALARS.get(kind)) is not None:
         return map(encode, values)
-    if kind is None:
-        return [cell for value in values for cell in _json_cells([value], type(value), pad)]
     inner = pad + "  "
     if issubclass(kind, (list, tuple)):
         if {*map(type, chain.from_iterable(values))} <= {int}:
@@ -187,10 +173,7 @@ def _json_cells(values: Sequence, kind: type | None, pad: str) -> Iterable[str]:
         joined = (f",\n{inner}".join(_column(items, _json_cells, inner)) for items in values)
         return [f"[\n{inner}{items}\n{pad}]" if items else "[]" for items in joined]
     if issubclass(kind, dict):
-        if len(keys := {*map(tuple, values)}) > 1:
-            return [cell for value in values for cell in _json_cells([value], kind, pad)]
-        if not (key_order := keys.pop()):
-            return ["{}"] * len(values)
+        (key_order,) = {*map(tuple, values)}
         row = "{{\n" + ",\n".join(
             _literal(f"{inner}{encode_basestring_ascii(k)}: ") + "{}" for k in key_order
         ) + f"\n{pad}}}}}"
@@ -199,8 +182,6 @@ def _json_cells(values: Sequence, kind: type | None, pad: str) -> Iterable[str]:
     if issubclass(kind, Fraction):  # the {"exact", "decimal"} pair; its strings need no escapes
         pair = f'{{{{\n{inner}"exact": "{{}}",\n{inner}"decimal": "{{}}"\n{pad}}}}}'
         return map(pair.format, map(fraction_str, values), map(decimal_str, values))
-    if issubclass(kind, (str, int, float)):  # IntEnum and other subclasses
-        return map(json.dumps, values)
     if issubclass(kind, Enum):
         return _column([value.value for value in values], _json_cells, pad)
     raise TypeError(f"{kind.__name__} is not JSON serializable")

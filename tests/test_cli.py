@@ -64,7 +64,9 @@ class TestParsers:
         assert (cf.preperiod, cf.period) == ((), (1, 2))
         assert parse_cf("0;1,2,...") == parse_cf("0;(1,2)")
         assert parse_cf("0;3,...") == parse_cf("0;(3)")
-        for text in ("1;2", "0;", "0;2,(1,2", "0;x"):
+        bad = ("1;2", "0;", "0;2,(1,2", "0;x", "0;1,,2", "0;,1")
+        bad += ("0;2,,(1)", "0;,(1)", "0;1,2,,...")  # a stray comma before the period
+        for text in bad:
             with pytest.raises(ValueError):
                 parse_cf(text)
 
@@ -528,9 +530,10 @@ class TestOutputPlumbing:
         payload = json.loads(target.read_text(encoding="utf-8"))
         assert payload["command"] == "bounds"
 
-    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    @pytest.mark.parametrize("where", ["directory", "missing parent", "empty path"])
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, where):
-        target = tmp_path if where == "directory" else tmp_path / "missing" / "x.txt"
+        missing = tmp_path / "missing" / "x.txt"
+        target = {"directory": tmp_path, "missing parent": missing, "empty path": ""}[where]
         argv = ["construct", "--digits", "1,2", "--depth", "1", "--out", str(target)]
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()

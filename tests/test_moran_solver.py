@@ -431,3 +431,27 @@ class TestFloatStart:
         with mp.workprec(256):
             ulp = mpf(2) ** (mp.mag(root.s) - PRECISION_BITS)
             assert moran_minus_one(K, root.s - ulp) > 0 > moran_minus_one(K, root.s + ulp)
+
+    @pytest.mark.parametrize("digits", [tuple(range(1, 10)), (1, 2), (3, 7, 20)])
+    def test_none_where_the_float64_solve_fails(self, digits):
+        # a ToleranceError from the float64 solve is a None start: the 128-bit
+        # solve starts at the midpoint and takes the midpoint's path
+        real = moran_solver.bisect_newton
+        starts = []
+
+        def solve(h, h_prime, lo, *rest, **kwargs):
+            if type(lo) is float:  # the float64 solve; the 128-bit one passes an mpf
+                raise ToleranceError("float64 residual target not met")
+            return real(h, h_prime, lo, *rest, **kwargs)
+
+        def spy(K, hi):
+            starts.append(_float_root(K, hi))
+            return starts[-1]
+
+        K = DigitSet(digits)
+        with patch.object(moran_solver, "bisect_newton", solve):
+            with patch.object(moran_solver, "_float_root", spy):
+                root = moran_root(K)
+        slow = midpoint_root(K)
+        assert starts == [None]
+        assert (root.s, root.residual, root.iterations) == (slow.s, slow.residual, slow.iterations)
