@@ -10,16 +10,23 @@ the depth-1 sum is solved once: its root, the Moran root, serves every depth.
 
 ``_log_lengths`` builds the float64 log domain lengths of each depth from the
 last with numpy, in lexicographic word order, carrying (log q_n, q_{n-1}/q_n)
-so nothing overflows.  One solver finds the root of logsumexp(s * log lengths)
-= 0, so no power underflows.  Its sums run in that fixed order, with no BLAS
-call and no threads: the sum for g is numpy's pairwise sum and the weighted
-sum for g' one einsum, so runs are bit-reproducible whatever the BLAS thread
-count.  Logs outside the float64 range raise ToleranceError.
+so nothing overflows.  Every layer, its solver scratch and the carried
+state are views of one float64 workspace per thread, kept between calls:
+it grows to the largest S^D a thread has asked for (S digits, deepest
+depth D) and never shrinks, so a repeated call allocates no layer-sized
+memory and takes no page faults.  It holds at most 8 (2 + 2/S) S^D bytes,
+under 40 MB per thread at the default budget.  One solver finds the root
+of logsumexp(s * log lengths) = 0, so no power underflows.  Its sums run in
+that fixed order, with no BLAS call and no threads: the sum for g is numpy's
+pairwise sum and the weighted sum for g' one einsum, so runs are
+bit-reproducible whatever the BLAS thread count.  Logs outside the float64
+range raise ToleranceError.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -30,9 +37,10 @@ import numpy as np
 
 from .cf_core import DEFAULT_BUDGET, DigitSet, check_budget
 from .errors import ToleranceError
-from .moran_solver import bisect_newton, check_tolerance
+from .moran_solver import _float_root, bisect_newton, check_tolerance
 
 DEFAULT_TOLERANCE = 1e-10
+_workspace = threading.local()  # .buf: this thread's float64 buffer behind every domain layer
 
 
 class Side(Enum):
@@ -61,40 +69,67 @@ class CoveringEstimate:
     wall_time_ms: float
 
 
-def _log_lengths(K: DigitSet, depth: int) -> Iterator[np.ndarray]:
-    """Log domain cylinder lengths at depths 1..depth, each in lexicographic word order."""
+def _log_lengths(K: DigitSet, depth: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(log domain cylinder lengths, scratch) at depths 1..depth, the lengths in
+    lexicographic word order and the scratch as long, free for the solver.
+
+    Both are views of this thread's workspace (module docstring), valid only
+    until the next step of this generator or the next call in the thread.
+    The workspace holds the deepest layer and scratch, each S^depth long, and
+    the carried state (log q_n, r = q_{n-1}/q_n), each S^(depth-1) long.  A
+    step writes t = k + r into the scratch and log q_{n+1} = log q_n + log t
+    into the layer by broadcasting over the parents, copies the state out
+    only when a deeper depth needs it, and finishes the logs in place; the
+    operations and their order are those of a step on fresh arrays, so every
+    layer has the same bits.
+    """
+    S = len(K)
     digits = np.array(K.digits, dtype=float)
-    log_q, r = np.zeros(1), np.zeros(1)  # r = q_{n-1}/q_n; q_0 = 1, q_{-1} = 0
-    for _ in range(depth):
-        t = np.add.outer(r, digits).ravel()  # q_{n+1}/q_n = k + r
-        log_q = np.repeat(log_q, len(K))
-        log_q += np.log(t)
-        r = np.reciprocal(t, out=t)
-        logs = np.log1p(r)
-        logs += 2.0 * log_q
-        yield np.negative(logs, out=logs)
+    size, parents = S**depth, S ** (depth - 1)
+    need = 2 * size + 2 * parents
+    workspace = getattr(_workspace, "buf", None)
+    if workspace is None or workspace.size < need:
+        workspace = _workspace.buf = np.empty(need)
+    layer, scratch = workspace[:size], workspace[size : 2 * size]
+    log_q, r = workspace[2 * size : need - parents], workspace[need - parents : need]
+    log_q[0] = r[0] = 0.0  # q_0 = 1, q_{-1} = 0
+    count = 1
+    for n in range(1, depth + 1):
+        t = scratch[: count * S].reshape(count, S)
+        logs = layer[: count * S].reshape(count, S)
+        np.add(r[:count, None], digits, out=t)  # q_{n+1}/q_n = k + r
+        np.log(t, out=logs)
+        logs += log_q[:count, None]  # log q_{n+1}
+        t, logs, count = t.ravel(), logs.ravel(), count * S  # views, no copies
+        np.reciprocal(t, out=t)
+        if n < depth:
+            log_q[:count], r[:count] = logs, t
+        np.log1p(t, out=t)
+        logs *= 2.0
+        np.add(t, logs, out=logs)
+        yield np.negative(logs, out=logs), t
 
 
 def _solve_covering(
-    logs: np.ndarray, target: float, start: float | None = None
+    logs: np.ndarray, scratch: np.ndarray, target: float, start: float | None = None
 ) -> tuple[float, float, tuple[float, float]]:
     """Root of g(s) = log(sum(exp(s * logs))) = 0, polished to |g| <= target.
 
-    Takes the layer over: shifts it in place, once, by its maximum top, since
-    max(s * logs) = s * top for every s >= 0.  Then g(s) = s * top +
-    log(sum(exp(s * shifted))), and g'(s) = top + the weighted mean of the
-    shifted logs, which unlike the sum's slope cannot underflow.  Each
-    0 < s < 1 costs four array passes (multiply, exp, sum, one weighted sum),
-    shared by g and g' at the same s (every Newton step).  The bracket's ends
-    cost none: ``bisect_newton`` never evaluates g there, and their signs are
-    known.  g(0) = log N > 0, and g(1) < 0: at s = 1 the domain cylinders
+    Takes the layer and a scratch array of its size over: shifts the layer
+    in place, once, by its maximum top, since max(s * logs) = s * top for
+    every s >= 0.  Then g(s) = s * top + log(sum(exp(s * shifted))), and
+    g'(s) = top + the weighted mean of the shifted logs, which unlike the
+    sum's slope cannot underflow.  Each 0 < s < 1 costs four array passes
+    (multiply, exp, sum, one weighted sum) in the scratch, shared by g and g'
+    at the same s (every Newton step).  The bracket's ends cost none:
+    ``bisect_newton`` never evaluates g there, and their signs are known.
+    g(0) = log N > 0, and g(1) < 0: at s = 1 the domain cylinders
     are disjoint subintervals of [0, 1], and the image sum is sum 2^-k < 1.
-    Newton starts at ``start`` (the root one depth up, on the domain side),
-    else at the midpoint.
+    Newton starts at ``start`` (the root one depth up on the domain side, the
+    float64 Moran root on the image side), else at the midpoint.
     """
     top = float(logs.max())
     logs -= top
-    scratch = np.empty_like(logs)
 
     @lru_cache(maxsize=1)
     def sums(s: float) -> tuple[float, float]:
@@ -119,8 +154,8 @@ def _domain_roots(K: DigitSet, depth: int, target: float) -> Iterator[tuple[int,
     """(depth, cylinder count, root) at every depth 1..depth; each depth's
     Newton starts at the root one depth up, depth 1's at the midpoint."""
     start = None
-    for n, logs in enumerate(_log_lengths(K, depth), 1):
-        root = _solve_covering(logs, target, start)
+    for n, (logs, scratch) in enumerate(_log_lengths(K, depth), 1):
+        root = _solve_covering(logs, scratch, target, start)
         start = root[0]
         yield n, logs.size, root
 
@@ -165,7 +200,8 @@ def estimate_series(
     try:
         with np.errstate(all="raise", under="ignore"):  # exp may underflow to 0
             if side is Side.IMAGE:  # the depth-n sum is the depth-1 sum to the n-th power
-                root = _solve_covering(np.array(K.digits, float) * -math.log(2.0), target)
+                logs = np.array(K.digits, float) * -math.log(2.0)
+                root = _solve_covering(logs, np.empty_like(logs), target, _float_root(K, 1.0))
                 layers = ((n, len(K) ** n, (root[0], root[1] ** n, root[2])) for n in depth_list)
             else:
                 roots = _domain_roots(K, depth_list[-1], target)

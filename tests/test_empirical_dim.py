@@ -8,6 +8,9 @@ depth-2 lengths are 1/6, 1/12, 1/15, 1/35 (convergent recurrence by hand).
 import json
 import math
 import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -127,6 +130,28 @@ class TestImage:
         with pytest.raises(ValueError):
             estimate_series(K12, [0], Side.IMAGE)
 
+    @pytest.mark.parametrize(
+        "digits",
+        [(1, 2), tuple(range(1, 61)), (29, 30, 87), (10**10, 2 * 10**10), (1, 10**11), (1, 2**53 - 1)],
+    )
+    def test_starts_at_the_float64_moran_root(self, monkeypatch, digits):
+        # digits below 2^53: the one solve starts at the float64 root, not the midpoint
+        evaluations = []
+
+        def recording(h, h_prime, lo, hi, **kwargs):
+            def counted(s):
+                evaluations.append(s)
+                return h(s)
+
+            return bisect_newton(counted, h_prime, lo, hi, **kwargs)
+
+        monkeypatch.setattr(empirical_dim, "bisect_newton", recording)
+        K = DigitSet(digits)
+        (est,) = estimate_series(K, [1], Side.IMAGE)
+        moran = float(moran_root(K).s)
+        assert 1 <= len(evaluations) <= 2
+        assert abs(est.s_hat - moran) <= 1e-12 * moran
+
 
 class TestSeries:
     def test_domain_series_converges(self):
@@ -200,8 +225,8 @@ class TestSeries:
 
 
 def deepest_layer(K, depth):
-    *_, logs = _log_lengths(K, depth)
-    return logs
+    *_, (logs, _) = _log_lengths(K, depth)
+    return logs.copy()  # a view of the thread's workspace, which the next call overwrites
 
 
 @st.composite
@@ -308,6 +333,54 @@ class TestEngine:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestWorkspace:
+    """Domain layers live in one float64 workspace per thread, kept between calls."""
+
+    SETS = [DigitSet(d) for d in ((1, 2, 3), (1, 2, 4), (2, 3, 5), (1, 3, 7))]
+
+    def test_threads_match_serial_calls(self, monkeypatch):
+        # every thread builds its layer before any thread solves one: threads
+        # that shared a workspace would solve each other's layers
+        depths = range(1, 8)
+        serial = [estimate_series(K, depths, Side.DOMAIN) for K in self.SETS]
+        barrier = threading.Barrier(len(self.SETS), timeout=10)
+        real_solve = empirical_dim._solve_covering
+
+        def solve(*args, **kwargs):
+            barrier.wait()
+            return real_solve(*args, **kwargs)
+
+        def series(K):
+            try:
+                return estimate_series(K, depths, Side.DOMAIN)
+            except Exception:
+                barrier.abort()  # the other threads stop waiting for this one
+                raise
+
+        monkeypatch.setattr(empirical_dim, "_solve_covering", solve)
+        with ThreadPoolExecutor(len(self.SETS)) as pool:
+            threaded = list(pool.map(series, self.SETS))
+        for want, got in zip(serial, threaded):
+            assert [(e.s_hat, e.sum_at_root, e.bracket) for e in got] == [
+                (e.s_hat, e.sum_at_root, e.bracket) for e in want
+            ]
+
+    def test_repeated_call_allocates_no_layer(self):
+        # the deepest layer of {1,2,3,4,5,6,7,9,11} at depth 5: 9^5 floats, 461 KiB
+        K, depths = DigitSet((1, 2, 3, 4, 5, 6, 7, 9, 11)), range(1, 6)
+        first = estimate_series(K, depths, Side.DOMAIN)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            second = estimate_series(K, depths, Side.DOMAIN)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 8 * 9**5
+        assert [e.s_hat for e in second] == [e.s_hat for e in first]
+
+
 class TestSolverPasses:
     """What ``_solve_covering`` pays per root, and what it returns."""
 
@@ -338,7 +411,7 @@ class TestSolverPasses:
 
         monkeypatch.setattr(np, "exp", exp)
         monkeypatch.setattr(empirical_dim, "bisect_newton", recording)
-        root, *_ = empirical_dim._solve_covering(logs, math.log1p(1e-10))
+        root, *_ = empirical_dim._solve_covering(logs, np.empty_like(logs), math.log1p(1e-10))
         # g is never evaluated at the bracket's ends; every point costs one exp pass, g' none
         assert evaluations and 0.0 not in evaluations and 1.0 not in evaluations
         assert len(exp_inputs) == len(evaluations) and all(exp_inputs)
